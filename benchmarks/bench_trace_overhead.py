@@ -35,6 +35,7 @@ from repro.dbms.batch import (
     PositionQuery,
     RangeQuery,
     _EligibilitySets,
+    validate_queries,
 )
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.schema import AttributeDef
@@ -96,7 +97,7 @@ def _seed_batch_run(engine, queries):
     misses_before = engine.cache_misses
     with time_section("dbms_batch_seconds",
                       help="Wall-clock latency of one query batch."):
-        engine._validate(queries)
+        validate_queries(engine.database, queries)
         candidates = engine._gather_candidates(queries, None)
         eligible = _EligibilitySets(engine._db)
         answers = []

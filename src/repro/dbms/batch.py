@@ -1,33 +1,45 @@
-"""Batched query processing — the read-path fast lane.
+"""The query kernel: may/must refinement, and batched query processing.
 
-The one-at-a-time query processor re-derives every candidate's
-uncertainty interval and re-walks the R-tree for each call.  A serving
-workload ("the free cabs near each of these 1 000 passengers, now")
-repeats almost all of that work: query boxes overlap the same index
-nodes and candidates recur across queries at the same instant.
+This module holds the only code that classifies mobile candidates
+against a query region and the only code that derives their
+uncertainty intervals for a query.  Every query route refines through
+it: the one-at-a-time :class:`~repro.dbms.database.MovingObjectDatabase`
+methods, :class:`BatchQueryEngine`, and the sharded facade and engine
+of :mod:`repro.shard` (which only route queries and merge answers).
 
+* :func:`derive_entries` — each candidate's uncertainty interval, its
+  materialised geometry, and the geometry bbox; through the NumPy
+  kernels of :mod:`repro.vec.bounds` when at least
+  :data:`_MIN_VEC_CANDIDATES` records are derived at once, through
+  :func:`~repro.core.uncertainty.uncertainty_interval` otherwise,
+* :func:`refine_range` (Theorems 5-6), :func:`refine_within` (disc)
+  and :func:`refine_proximity` (interval pairs) — may/must answers,
+  with sound bbox pre-tests (batched through :mod:`repro.vec.geom`
+  for :data:`_MIN_VEC_CANDIDATES` or more candidates) that decide an
+  outcome only when the exact predicate is guaranteed to agree,
+* :func:`nearest_entries` — min/max distance bounds for k-nearest,
+  ranked by :func:`repro.dbms.query.rank_nearest`.
+
+One-at-a-time queries derive their entries afresh on every call.
 :class:`BatchQueryEngine` answers a workload of position / range /
-within-distance queries with amortised work:
+within-distance queries with amortised work on top of the same
+refiners:
 
 * **R-tree multi-search** — all query windows are answered by a single
   shared tree traversal (:meth:`repro.index.rtree.RTree.search_many`
   via :meth:`repro.index.timespace.TimeSpaceIndex.candidates_at_many`),
-* **generation-keyed uncertainty cache** — each candidate's interval,
-  materialised geometry, and geometry bbox are derived once per
-  ``(object, t)`` and reused until that object's record changes (the
-  record's update ``generation`` tags every cache entry, so a position
-  update invalidates exactly one object, never the whole cache),
+* **generation-keyed uncertainty cache** — each candidate's entry is
+  derived once per ``(object, t)`` and reused until that object's
+  record changes (the record's update ``generation`` tags every cache
+  entry, so a position update invalidates exactly one object, never
+  the whole cache),
 * **hoisted filter sets** — the stationary-object id set and each
   distinct ``(where, class_name)`` eligibility set are computed once
   per batch instead of once per query.
 
-Answers are **byte-identical** to issuing the same queries one at a
-time through :class:`~repro.dbms.database.MovingObjectDatabase`: every
-number flows through the same functions on the same inputs, and the
-only shortcuts taken (bbox pre-tests before exact classification) are
-sound — they decide an outcome only when the exact predicate is
-guaranteed to agree.  ``tests/dbms/test_batch.py`` and
-``benchmarks/bench_query_batch.py`` assert this equivalence.
+Answers are therefore **byte-identical** across routes;
+``tests/dbms/test_batch.py``, ``tests/dbms/test_route_agreement.py``
+and ``benchmarks/bench_query_batch.py`` assert this equivalence.
 """
 
 from __future__ import annotations
@@ -35,8 +47,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Union
 
+import numpy as np
+
+from repro.core.adaptive import AdaptivePolicy
 from repro.core.baselines import (
     FixedThresholdPolicy,
     PeriodicPolicy,
@@ -49,39 +64,43 @@ from repro.core.policies import (
     DelayedLinearPolicy,
 )
 from repro.core.uncertainty import UncertaintyInterval, uncertainty_interval
-from repro.dbms.database import MovingObjectDatabase, _classification_counters
+from repro.dbms.moving_object import MovingObjectRecord
 from repro.dbms.query import (
     Containment,
+    NearestAnswer,
     PositionAnswer,
     RangeAnswer,
+    check_radius,
+    classify_distance_range,
     classify_polyline_against_polygon,
     classify_polyline_within_distance,
+    disc_window,
+    distance_range_between_polylines,
+    distance_range_to_polyline,
 )
 from repro.errors import QueryError
 from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.polyline import Polyline
 from repro.index.rtree import SearchStats
 from repro.obs.instrument import time_section
 from repro.obs.live.windows import get_live
 from repro.obs.registry import get_registry
 from repro.trace.events import CACHE, answer_digest
 from repro.trace.recorder import get_recorder
-from repro.vec import vectorization_default
+from repro.vec import bounds as vec_bounds
+from repro.vec import geom as vec_geom
 
-try:
-    import numpy as np
+if TYPE_CHECKING:
+    from repro.dbms.database import MovingObjectDatabase
 
-    from repro.vec import bounds as vec_bounds
-    from repro.vec import geom as vec_geom
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    np = None  # type: ignore[assignment]
-    vec_bounds = vec_geom = None  # type: ignore[assignment]
-_HAVE_VEC = np is not None
-
-#: Below this many candidates (or cache misses) the per-call NumPy
+#: Below this many candidates (or records to derive) the per-call NumPy
 #: overhead outweighs the loop it replaces; the scalar path runs.
 _MIN_VEC_CANDIDATES = 8
+
+#: ``(generation, interval, geometry, bbox)`` of one candidate at one time.
+Entry = tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,6 +174,373 @@ def _rect_max_distance(center: Point, rect: Rect2D) -> float:
     return math.hypot(dx, dy)
 
 
+# ----------------------------------------------------------------------
+# Validation
+# ----------------------------------------------------------------------
+
+
+def validate_queries(database: Any, queries: list[BatchQuery]) -> None:
+    """The sequential validation sequence, run up front in query order.
+
+    ``database`` is a :class:`MovingObjectDatabase` or a
+    :class:`~repro.shard.sharded.ShardedDatabase`; both raise the same
+    :class:`QueryError` the one-at-a-time call would raise at the first
+    offending query.
+    """
+    for query in queries:
+        database._check_query_time(query.time)
+        if isinstance(query, PositionQuery):
+            database.record(query.object_id)
+            continue
+        database._check_index_coverage(query.time)
+        if isinstance(query, WithinDistanceQuery):
+            check_radius(query.radius)
+
+
+# ----------------------------------------------------------------------
+# Uncertainty derivation
+# ----------------------------------------------------------------------
+
+
+def derive_entries(database: MovingObjectDatabase,
+                   records: list[MovingObjectRecord], t: float,
+                   bounds_for: Callable[[MovingObjectRecord], Any]
+                   = MovingObjectRecord.bounds) -> list[Entry]:
+    """``(generation, interval, geometry, bbox)`` per record at ``t``.
+
+    ``bounds_for`` maps a record to its deviation bounds (the batch
+    engine passes its generation-keyed bounds cache).  Enough records
+    go through the array kernels in one pass; every entry equals the
+    one :func:`uncertainty_interval` and ``interval.geometry`` give.
+    """
+    if len(records) >= _MIN_VEC_CANDIDATES:
+        return _derive_bulk(database, records, t, bounds_for)
+    return [_derive_one(database, record, t, bounds_for)
+            for record in records]
+
+
+def _derive_one(database: MovingObjectDatabase, record: MovingObjectRecord,
+                t: float,
+                bounds_for: Callable[[MovingObjectRecord], Any]) -> Entry:
+    """One record's entry, through the scalar functions."""
+    route = database.routes.get(record.attribute.route_id)
+    interval = uncertainty_interval(record.attribute, route,
+                                    bounds_for(record), t)
+    geometry = interval.geometry(route)
+    return (record.generation, interval, geometry, geometry.bounding_rect())
+
+
+def _derive_bulk(database: MovingObjectDatabase,
+                 records: list[MovingObjectRecord], t: float,
+                 bounds_for: Callable[[MovingObjectRecord], Any]) -> list[Entry]:
+    """Derive entries for ``records`` via the array kernels.
+
+    Records are grouped by bound family — Propositions 2-3 for dl,
+    Proposition 4 for the immediate-linear/adaptive policies — and
+    each group's intervals are evaluated in one vectorized pass.
+    Records of other policy families, and records the kernels must
+    not touch (query before last update, negative parameters — the
+    scalar constructors own those errors), go through
+    :func:`_derive_one` unchanged.
+    """
+    rows_dl: list[int] = []
+    rows_imm: list[int] = []
+    rows_scalar: list[int] = []
+    for i, record in enumerate(records):
+        attribute = record.attribute
+        policy = record.policy
+        if (database.routes.get(attribute.route_id) is None
+                or t < attribute.starttime or attribute.speed < 0
+                or record.max_speed < 0):
+            rows_scalar.append(i)
+        elif isinstance(policy, DelayedLinearPolicy):
+            target = rows_dl if policy.update_cost >= 0 else rows_scalar
+            target.append(i)
+        elif isinstance(policy, (AverageImmediateLinearPolicy,
+                                 CurrentImmediateLinearPolicy,
+                                 AdaptivePolicy)) and not isinstance(
+                policy, (FixedThresholdPolicy, TraditionalPointPolicy,
+                         PeriodicPolicy)):
+            target = rows_imm if policy.update_cost >= 0 else rows_scalar
+            target.append(i)
+        else:
+            rows_scalar.append(i)
+    entries: list[Entry] = [()] * len(records)
+    if rows_dl:
+        _derive_family(database, records, rows_dl, t, True, entries)
+    if rows_imm:
+        _derive_family(database, records, rows_imm, t, False, entries)
+    for i in rows_scalar:
+        entries[i] = _derive_one(database, records[i], t, bounds_for)
+    return entries
+
+
+def _derive_family(database: MovingObjectDatabase,
+                   records: list[MovingObjectRecord], rows: list[int],
+                   t: float, delayed: bool, entries: list[Entry]) -> None:
+    """Vectorized interval derivation for one bound family.
+
+    The array expressions mirror :func:`uncertainty_interval` and
+    the :mod:`repro.core.bounds` closures element for element (see
+    :mod:`repro.vec.bounds`); the per-record pieces that stay
+    scalar — travel-coordinate projection of the start point and
+    interval geometry — are the exact calls the scalar path makes.
+    """
+    n = len(rows)
+    speed = np.empty(n, dtype=np.float64)
+    max_speed = np.empty(n, dtype=np.float64)
+    cost = np.empty(n, dtype=np.float64)
+    starttime = np.empty(n, dtype=np.float64)
+    start_travel = np.empty(n, dtype=np.float64)
+    length = np.empty(n, dtype=np.float64)
+    routes = []
+    get_route = database.routes.get
+    for j, i in enumerate(rows):
+        record = records[i]
+        attribute = record.attribute
+        route = get_route(attribute.route_id)
+        routes.append(route)
+        speed[j] = attribute.speed
+        max_speed[j] = record.max_speed
+        cost[j] = record.policy.update_cost
+        starttime[j] = attribute.starttime
+        start_travel[j] = route.travel_distance_of(
+            attribute.start_point, attribute.direction
+        )
+        length[j] = route.length
+    elapsed = t - starttime
+    gap = vec_bounds.speed_gap(speed, max_speed)
+    if delayed:
+        slow, fast = vec_bounds.delayed_slow_fast(speed, gap, cost, elapsed)
+    else:
+        slow, fast = vec_bounds.immediate_slow_fast(speed, gap, cost, elapsed)
+    center = start_travel + speed * elapsed
+    lower, upper = vec_bounds.clamp_travel(
+        center - slow, center + fast, length
+    )
+    for j, i in enumerate(rows):
+        record = records[i]
+        route = routes[j]
+        interval = UncertaintyInterval(
+            route_id=route.route_id,
+            direction=record.attribute.direction,
+            lower=float(lower[j]),
+            upper=float(upper[j]),
+        )
+        geometry = interval.geometry(route)
+        entries[i] = (record.generation, interval, geometry,
+                      geometry.bounding_rect())
+
+
+# ----------------------------------------------------------------------
+# Refinement
+# ----------------------------------------------------------------------
+
+
+def _classification_counters(registry):
+    """Outcome -> counter, for refinement outcome accounting."""
+    help_text = "Candidate classifications by may/must outcome."
+    return {
+        outcome: registry.counter("dbms_classified_total", help=help_text,
+                                  outcome=outcome)
+        for outcome in (Containment.OUT, Containment.MAY, Containment.MUST)
+    }
+
+
+def _fold(database: MovingObjectDatabase, t: float, ids: list[str],
+          outcomes: list[str], stationary: Iterable[str],
+          classify_point: Callable[[Point], str],
+          counted: bool = False) -> RangeAnswer:
+    """Collect mobile outcomes and the stationary pass into an answer.
+
+    ``counted`` publishes the mobile outcomes as classification
+    counters (range and within-distance queries do).
+    """
+    registry = get_registry()
+    if counted and registry.enabled:
+        counters = _classification_counters(registry)
+        for outcome in outcomes:
+            counters[outcome].inc()
+    points = database._stationary
+    stationary_ids = list(stationary)
+    outcomes = outcomes + [classify_point(points[object_id][1])
+                           for object_id in stationary_ids]
+    may: set[str] = set()
+    must: set[str] = set()
+    for object_id, outcome in zip(ids + stationary_ids, outcomes):
+        if outcome != Containment.OUT:
+            may.add(object_id)
+            if outcome == Containment.MUST:
+                must.add(object_id)
+    return RangeAnswer(
+        time=t,
+        may=frozenset(may),
+        must=frozenset(must),
+        examined=len(outcomes),
+        candidates=frozenset(ids),
+    )
+
+
+def refine_range(database: MovingObjectDatabase, polygon: Polygon, t: float,
+                 ids: list[str], entries: list[Entry],
+                 stationary: Iterable[str]) -> RangeAnswer:
+    """Theorems 5-6: may/must membership of ``ids`` in ``polygon``.
+
+    ``entries`` are the candidates' :func:`derive_entries` values, in
+    ``ids`` order; ``stationary`` are the eligible stationary ids,
+    answered exactly (always *must* when inside).
+    """
+    query_rect = polygon.bounding_rect
+    rect_region = _exact_rect(polygon)
+    out_mask = must_mask = None
+    if len(ids) >= _MIN_VEC_CANDIDATES:
+        out_mask, must_mask = vec_geom.range_pretest(
+            query_rect, rect_region, [entry[3] for entry in entries]
+        )
+    outcomes = []
+    for i, entry in enumerate(entries):
+        geometry, bbox = entry[2:]
+        if (not query_rect.intersects(bbox) if out_mask is None
+                else out_mask[i]):
+            # Disjoint bboxes: the exact predicate cannot intersect
+            # either, so OUT is decided without materialising it.
+            outcomes.append(Containment.OUT)
+        elif (rect_region is not None
+              and (rect_region.contains_rect(bbox) if must_mask is None
+                   else must_mask[i])):
+            # The polygon is exactly a closed rectangle holding the
+            # whole geometry bbox, so the exact predicate is MUST.
+            outcomes.append(Containment.MUST)
+        else:
+            outcomes.append(
+                classify_polyline_against_polygon(geometry, polygon)
+            )
+    return _fold(
+        database, t, ids, outcomes, stationary,
+        lambda point: (Containment.MUST if polygon.contains_point(point)
+                       else Containment.OUT),
+        counted=True,
+    )
+
+
+def refine_within(database: MovingObjectDatabase, center: Point,
+                  radius: float, t: float, ids: list[str],
+                  entries: list[Entry],
+                  stationary: Iterable[str]) -> RangeAnswer:
+    """May/must membership of ``ids`` in the disc of ``radius``."""
+    out_mask = must_mask = None
+    if len(ids) >= _MIN_VEC_CANDIDATES:
+        out_mask, must_mask = vec_geom.within_pretest(
+            center, radius, [entry[3] for entry in entries]
+        )
+    outcomes = []
+    for i, entry in enumerate(entries):
+        geometry, bbox = entry[2:]
+        # Bbox distance bounds bracket the exact min/max distances
+        # (the geometry lies inside its bbox), so these shortcuts
+        # agree with the exact classification whenever they fire.
+        # The vectorized screens are a hair conservative, so an
+        # ulp-boundary bbox merely falls through to the exact
+        # classifier; the outcome is the same either way.
+        if (_rect_min_distance(center, bbox) > radius if out_mask is None
+                else out_mask[i]):
+            outcomes.append(Containment.OUT)
+        elif (_rect_max_distance(center, bbox) <= radius
+              if must_mask is None else must_mask[i]):
+            outcomes.append(Containment.MUST)
+        else:
+            outcomes.append(
+                classify_polyline_within_distance(center, radius, geometry)
+            )
+    return _fold(
+        database, t, ids, outcomes, stationary,
+        lambda point: (Containment.MUST if point.distance_to(center) <= radius
+                       else Containment.OUT),
+        counted=True,
+    )
+
+
+def refine_proximity(database: MovingObjectDatabase, anchor: Polyline,
+                     radius: float, t: float, ids: list[str],
+                     entries: list[Entry],
+                     stationary: Iterable[str]) -> RangeAnswer:
+    """May/must membership of ``ids`` within ``radius`` of an uncertain anchor.
+
+    ``anchor`` is the anchor's interval geometry.  Both sides are
+    uncertain, so a candidate *may* qualify when the closest consistent
+    placement is within ``radius`` and *must* when even the farthest is.
+    """
+    outcomes = [
+        classify_distance_range(
+            *distance_range_between_polylines(anchor, entry[2]), radius
+        )
+        for entry in entries
+    ]
+    return _fold(
+        database, t, ids, outcomes, stationary,
+        lambda point: classify_distance_range(
+            *distance_range_to_polyline(point, anchor), radius
+        ),
+    )
+
+
+def nearest_entries(database: MovingObjectDatabase, center: Point,
+                    ids: list[str], entries: list[Entry],
+                    stationary: Iterable[str]) -> list[NearestAnswer]:
+    """Unranked distance bounds from ``center`` for k-nearest ranking."""
+    found = [
+        NearestAnswer(object_id, *distance_range_to_polyline(center, entry[2]))
+        for object_id, entry in zip(ids, entries)
+    ]
+    points = database._stationary
+    for object_id in stationary:
+        distance = points[object_id][1].distance_to(center)
+        found.append(NearestAnswer(object_id, distance, distance))
+    return found
+
+
+# ----------------------------------------------------------------------
+# Trace recording
+# ----------------------------------------------------------------------
+
+
+def record_batch(queries: list[BatchQuery], answers: list[BatchAnswer],
+                 hits: int, misses: int) -> None:
+    """Emit one batch's query events and its cache event."""
+    rec = get_recorder()
+    if not rec.enabled or not queries:
+        return
+    batch = rec.next_batch_id()
+    for i, (query, answer) in enumerate(zip(queries, answers)):
+        if isinstance(query, PositionQuery):
+            rec.record_query(
+                "position", answer_digest(answer),
+                time=query.time, object_id=query.object_id,
+                engine="batch", batch=batch, index=i,
+            )
+        elif isinstance(query, RangeQuery):
+            rec.record_query(
+                "range", answer_digest(answer), time=query.time,
+                engine="batch", batch=batch, index=i,
+                polygon=[[v.x, v.y] for v in query.polygon.vertices],
+                where=query.where, class_name=query.class_name,
+            )
+        else:
+            rec.record_query(
+                "within", answer_digest(answer), time=query.time,
+                engine="batch", batch=batch, index=i,
+                center=[query.center.x, query.center.y],
+                radius=query.radius, where=query.where,
+                class_name=query.class_name,
+            )
+    rec.record(CACHE, hits=hits, misses=misses)
+
+
+# ----------------------------------------------------------------------
+# The batch engine
+# ----------------------------------------------------------------------
+
+
 class BatchQueryEngine:
     """Amortised query processing over a :class:`MovingObjectDatabase`.
 
@@ -167,31 +553,18 @@ class BatchQueryEngine:
 
     ``max_cache_entries`` bounds the derived-value cache; on overflow
     the cache is cleared wholesale (correct, merely cold).
-
-    ``vectorize`` routes cache-miss interval derivation and the bbox
-    pre-tests through the NumPy kernels of :mod:`repro.vec` when
-    enough candidates are in play; ``None`` defers to the
-    ``REPRO_VECTORIZE`` environment default.  Answers and cache
-    hit/miss counts are identical either way — the kernels evaluate
-    the same float expressions, and records the kernels cannot
-    reproduce exactly (unknown policy families, invalid parameters)
-    fall back to the scalar functions per record.
     """
 
     def __init__(self, database: MovingObjectDatabase,
-                 max_cache_entries: int = 1 << 18,
-                 vectorize: bool | None = None) -> None:
+                 max_cache_entries: int = 1 << 18) -> None:
         if max_cache_entries < 1:
             raise QueryError(
                 f"max_cache_entries must be positive, got {max_cache_entries}"
             )
-        if vectorize is None:
-            vectorize = vectorization_default()
-        self.vectorize = bool(vectorize) and _HAVE_VEC
         self._db = database
         self._max_cache_entries = max_cache_entries
         #: ``(object_id, t) -> (generation, interval, geometry, bbox)``.
-        self._derived: dict[tuple[str, float], tuple] = {}
+        self._derived: dict[tuple[str, float], Entry] = {}
         #: ``object_id -> (generation, DeviationBounds)``.
         self._bounds: dict[str, tuple] = {}
         self.cache_hits = 0
@@ -214,7 +587,7 @@ class BatchQueryEngine:
     # Derived-value caches
     # ------------------------------------------------------------------
 
-    def _bounds_for(self, record) -> Any:
+    def _bounds_for(self, record: MovingObjectRecord) -> Any:
         """The record's deviation bounds, cached per update generation."""
         entry = self._bounds.get(record.object_id)
         if entry is not None and entry[0] == record.generation:
@@ -225,54 +598,18 @@ class BatchQueryEngine:
         self._bounds[record.object_id] = (record.generation, bounds)
         return bounds
 
-    def _derived_for(self, object_id: str, t: float) -> tuple:
-        """``(generation, interval, geometry, bbox)`` for one candidate.
-
-        Computed through the exact functions the sequential path uses
-        (:func:`uncertainty_interval`, ``interval.geometry``), so a hit
-        returns bit-for-bit the values a fresh computation would.
-        """
-        record = self._db._records[object_id]
-        key = (object_id, t)
-        entry = self._derived.get(key)
-        if entry is not None and entry[0] == record.generation:
-            self.cache_hits += 1
-            return entry
-        self.cache_misses += 1
-        entry = self._compute_derived(record, t)
-        self._store_derived(key, entry)
-        return entry
-
-    def _compute_derived(self, record, t: float) -> tuple:
-        """One candidate's cache entry, through the scalar functions."""
-        route = self._db.routes.get(record.attribute.route_id)
-        interval = uncertainty_interval(
-            record.attribute, route, self._bounds_for(record), t
-        )
-        geometry = interval.geometry(route)
-        return (record.generation, interval, geometry,
-                geometry.bounding_rect())
-
-    def _store_derived(self, key: tuple[str, float], entry: tuple) -> None:
-        if len(self._derived) >= self._max_cache_entries:
-            self._derived.clear()
-        self._derived[key] = entry
-
-    def _entries_for(self, object_ids: list[str], t: float) -> list[tuple]:
+    def _entries_for(self, object_ids: list[str], t: float) -> list[Entry]:
         """Cache entries for all candidates of one query, in id order.
 
-        Counts exactly one hit or miss per candidate, like the
-        per-candidate :meth:`_derived_for` calls it replaces.  When
-        vectorization is on and enough candidates miss, the missing
-        intervals are derived through the array kernels in one pass.
+        Counts exactly one hit or miss per candidate; the misses are
+        derived together through :func:`derive_entries`.
         """
         records = self._db._records
-        entries: list[tuple] = [()] * len(object_ids)
+        entries: list[Entry] = [()] * len(object_ids)
         miss_rows: list[int] = []
         for i, object_id in enumerate(object_ids):
-            record = records[object_id]
             entry = self._derived.get((object_id, t))
-            if entry is not None and entry[0] == record.generation:
+            if entry is not None and entry[0] == records[object_id].generation:
                 self.cache_hits += 1
                 entries[i] = entry
             else:
@@ -280,119 +617,16 @@ class BatchQueryEngine:
                 miss_rows.append(i)
         if not miss_rows:
             return entries
-        missing = [records[object_ids[i]] for i in miss_rows]
-        if self.vectorize and len(miss_rows) >= _MIN_VEC_CANDIDATES:
-            derived = self._derive_bulk(missing, t)
-        else:
-            derived = [self._compute_derived(record, t)
-                       for record in missing]
+        derived = derive_entries(
+            self._db, [records[object_ids[i]] for i in miss_rows], t,
+            self._bounds_for,
+        )
         for i, entry in zip(miss_rows, derived):
-            self._store_derived((object_ids[i], t), entry)
+            if len(self._derived) >= self._max_cache_entries:
+                self._derived.clear()
+            self._derived[(object_ids[i], t)] = entry
             entries[i] = entry
         return entries
-
-    def _derive_bulk(self, records: list, t: float) -> list[tuple]:
-        """Derive cache entries for ``records`` via the array kernels.
-
-        Records are grouped by bound family — Propositions 2-3 for dl,
-        Proposition 4 for the immediate-linear/adaptive policies — and
-        each group's intervals are evaluated in one vectorized pass.
-        Records of other policy families, and records the kernels must
-        not touch (query before last update, negative parameters —
-        the scalar constructors own those errors), go through
-        :meth:`_compute_derived` unchanged.
-        """
-        from repro.core.adaptive import AdaptivePolicy
-
-        rows_dl: list[int] = []
-        rows_imm: list[int] = []
-        rows_scalar: list[int] = []
-        for i, record in enumerate(records):
-            attribute = record.attribute
-            policy = record.policy
-            if (self._db.routes.get(attribute.route_id) is None
-                    or t < attribute.starttime or attribute.speed < 0
-                    or record.max_speed < 0):
-                rows_scalar.append(i)
-            elif isinstance(policy, DelayedLinearPolicy):
-                target = rows_dl if policy.update_cost >= 0 else rows_scalar
-                target.append(i)
-            elif isinstance(policy, (AverageImmediateLinearPolicy,
-                                     CurrentImmediateLinearPolicy,
-                                     AdaptivePolicy)) and not isinstance(
-                    policy, (FixedThresholdPolicy, TraditionalPointPolicy,
-                             PeriodicPolicy)):
-                target = rows_imm if policy.update_cost >= 0 else rows_scalar
-                target.append(i)
-            else:
-                rows_scalar.append(i)
-        entries: list[tuple] = [()] * len(records)
-        if rows_dl:
-            self._derive_family(records, rows_dl, t, True, entries)
-        if rows_imm:
-            self._derive_family(records, rows_imm, t, False, entries)
-        for i in rows_scalar:
-            entries[i] = self._compute_derived(records[i], t)
-        return entries
-
-    def _derive_family(self, records: list, rows: list[int], t: float,
-                       delayed: bool, entries: list[tuple]) -> None:
-        """Vectorized interval derivation for one bound family.
-
-        The array expressions mirror :func:`uncertainty_interval` and
-        the :mod:`repro.core.bounds` closures element for element (see
-        :mod:`repro.vec.bounds`); the per-record pieces that stay
-        scalar — travel-coordinate projection of the start point and
-        interval geometry — are the exact calls the scalar path makes.
-        """
-        n = len(rows)
-        speed = np.empty(n, dtype=np.float64)
-        max_speed = np.empty(n, dtype=np.float64)
-        cost = np.empty(n, dtype=np.float64)
-        starttime = np.empty(n, dtype=np.float64)
-        start_travel = np.empty(n, dtype=np.float64)
-        length = np.empty(n, dtype=np.float64)
-        routes = []
-        get_route = self._db.routes.get
-        for j, i in enumerate(rows):
-            record = records[i]
-            attribute = record.attribute
-            route = get_route(attribute.route_id)
-            routes.append(route)
-            speed[j] = attribute.speed
-            max_speed[j] = record.max_speed
-            cost[j] = record.policy.update_cost
-            starttime[j] = attribute.starttime
-            start_travel[j] = route.travel_distance_of(
-                attribute.start_point, attribute.direction
-            )
-            length[j] = route.length
-        elapsed = t - starttime
-        gap = vec_bounds.speed_gap(speed, max_speed)
-        if delayed:
-            slow, fast = vec_bounds.delayed_slow_fast(
-                speed, gap, cost, elapsed
-            )
-        else:
-            slow, fast = vec_bounds.immediate_slow_fast(
-                speed, gap, cost, elapsed
-            )
-        center = start_travel + speed * elapsed
-        lower, upper = vec_bounds.clamp_travel(
-            center - slow, center + fast, length
-        )
-        for j, i in enumerate(rows):
-            record = records[i]
-            route = routes[j]
-            interval = UncertaintyInterval(
-                route_id=route.route_id,
-                direction=record.attribute.direction,
-                lower=float(lower[j]),
-                upper=float(upper[j]),
-            )
-            geometry = interval.geometry(route)
-            entries[i] = (record.generation, interval, geometry,
-                          geometry.bounding_rect())
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -402,8 +636,8 @@ class BatchQueryEngine:
             stats: SearchStats | None = None) -> list[BatchAnswer]:
         """Answer ``queries`` in order, with work amortised across them.
 
-        Validation (query-time monotonicity, horizon coverage, radius
-        sign, known object ids) runs up front in query order and raises
+        Validation (query-time monotonicity, horizon coverage, radius,
+        known object ids) runs up front in query order and raises
         the same :class:`QueryError` the sequential path would raise at
         the first offending query; no answers are produced on error.
         ``stats`` aggregates index work over the whole batch.
@@ -414,7 +648,7 @@ class BatchQueryEngine:
         started = time.perf_counter() if live.enabled else 0.0
         with time_section("dbms_batch_seconds",
                           help="Wall-clock latency of one query batch."):
-            self._validate(queries)
+            validate_queries(self._db, queries)
             candidates = self._gather_candidates(queries, stats)
             eligible = _EligibilitySets(self._db)
             answers: list[BatchAnswer] = []
@@ -434,50 +668,9 @@ class BatchQueryEngine:
                          time.perf_counter() - started)
             live.inc("dbms_batch_queries", float(len(queries)))
         self._publish(queries, hits_before, misses_before)
-        rec = get_recorder()
-        if rec.enabled and queries:
-            batch = rec.next_batch_id()
-            for i, (query, answer) in enumerate(zip(queries, answers)):
-                if isinstance(query, PositionQuery):
-                    rec.record_query(
-                        "position", answer_digest(answer),
-                        time=query.time, object_id=query.object_id,
-                        engine="batch", batch=batch, index=i,
-                    )
-                elif isinstance(query, RangeQuery):
-                    rec.record_query(
-                        "range", answer_digest(answer), time=query.time,
-                        engine="batch", batch=batch, index=i,
-                        polygon=[[v.x, v.y]
-                                 for v in query.polygon.vertices],
-                        where=query.where, class_name=query.class_name,
-                    )
-                else:
-                    rec.record_query(
-                        "within", answer_digest(answer), time=query.time,
-                        engine="batch", batch=batch, index=i,
-                        center=[query.center.x, query.center.y],
-                        radius=query.radius, where=query.where,
-                        class_name=query.class_name,
-                    )
-            rec.record(
-                CACHE, hits=self.cache_hits - hits_before,
-                misses=self.cache_misses - misses_before,
-            )
+        record_batch(queries, answers, self.cache_hits - hits_before,
+                     self.cache_misses - misses_before)
         return answers
-
-    def _validate(self, queries: list[BatchQuery]) -> None:
-        db = self._db
-        for query in queries:
-            db._check_query_time(query.time)
-            if isinstance(query, PositionQuery):
-                db.record(query.object_id)
-                continue
-            db._check_index_coverage(query.time)
-            if isinstance(query, WithinDistanceQuery) and query.radius < 0:
-                raise QueryError(
-                    f"radius must be nonnegative, got {query.radius}"
-                )
 
     def _gather_candidates(self, queries: list[BatchQuery],
                            stats: SearchStats | None) -> list[set[str] | None]:
@@ -495,11 +688,8 @@ class BatchQueryEngine:
             if isinstance(query, RangeQuery):
                 windows.append((query.polygon.bounding_rect, query.time))
             elif isinstance(query, WithinDistanceQuery):
-                center, radius = query.center, query.radius
-                windows.append((Rect2D(
-                    center.x - radius, center.y - radius,
-                    center.x + radius, center.y + radius,
-                ), query.time))
+                windows.append((disc_window(query.center, query.radius),
+                                query.time))
             else:
                 continue
             slots.append(i)
@@ -507,21 +697,15 @@ class BatchQueryEngine:
         if not windows:
             return candidates
         index = db._index
-        if index is None:
-            for slot in slots:
-                if stats is not None:
-                    stats.nodes_visited += 1
-                    stats.entries_tested += len(db._records)
-                candidates[slot] = set(db._records)
-        elif hasattr(index, "candidates_at_many"):
+        if index is not None and hasattr(index, "candidates_at_many"):
             found = index.candidates_at_many(windows, stats)
             for slot, ids in zip(slots, found):
                 candidates[slot] = ids
         else:
-            # Index without multi-search (e.g. the linear-scan
-            # baseline): fall back to one lookup per query.
+            # No index, or one without multi-search (e.g. the
+            # linear-scan baseline): one lookup per query.
             for slot, (region, t) in zip(slots, windows):
-                candidates[slot] = index.candidates_at(region, t, stats)
+                candidates[slot] = db._candidates(region, t, stats)
         return candidates
 
     def _answer_position(self, query: PositionQuery) -> PositionAnswer:
@@ -530,7 +714,7 @@ class BatchQueryEngine:
         route = db.routes.get(record.attribute.route_id)
         elapsed = record.attribute.elapsed(query.time)
         bounds = self._bounds_for(record)
-        interval = self._derived_for(query.object_id, query.time)[1]
+        interval = self._entries_for([query.object_id], query.time)[0][1]
         return PositionAnswer(
             object_id=query.object_id,
             time=query.time,
@@ -542,118 +726,24 @@ class BatchQueryEngine:
         )
 
     def _answer_range(self, query: RangeQuery, candidates: set[str],
-                      eligible: "_EligibilitySets") -> RangeAnswer:
-        db = self._db
-        registry = get_registry()
-        counters = (_classification_counters(registry)
-                    if registry.enabled else None)
-        kept = eligible.filter_mobile(candidates, query.where,
-                                      query.class_name)
-        polygon = query.polygon
-        query_rect = polygon.bounding_rect
-        rect_region = _exact_rect(polygon)
-        t = query.time
-        may: set[str] = set()
-        must: set[str] = set()
-        ids = list(kept)
-        entries = self._entries_for(ids, t)
-        out_mask = must_mask = None
-        if self.vectorize and len(ids) >= _MIN_VEC_CANDIDATES:
-            out_mask, must_mask = vec_geom.range_pretest(
-                query_rect, rect_region, [entry[3] for entry in entries]
-            )
-        for i, object_id in enumerate(ids):
-            geometry, bbox = entries[i][2:]
-            if (not query_rect.intersects(bbox) if out_mask is None
-                    else out_mask[i]):
-                # Disjoint bboxes: the exact predicate cannot intersect
-                # either, so OUT is decided without materialising it.
-                outcome = Containment.OUT
-            elif (rect_region is not None
-                  and (rect_region.contains_rect(bbox) if must_mask is None
-                       else must_mask[i])):
-                # The polygon is exactly a closed rectangle holding the
-                # whole geometry bbox, so the exact predicate is MUST.
-                outcome = Containment.MUST
-            else:
-                outcome = classify_polyline_against_polygon(geometry, polygon)
-            if counters is not None:
-                db._count_outcome(counters, outcome)
-            if outcome == Containment.OUT:
-                continue
-            may.add(object_id)
-            if outcome == Containment.MUST:
-                must.add(object_id)
-        examined = len(kept)
-        for object_id in eligible.stationary(query.where, query.class_name):
-            examined += 1
-            if polygon.contains_point(db._stationary[object_id][1]):
-                may.add(object_id)
-                must.add(object_id)
-        return RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(kept),
+                      eligible: _EligibilitySets) -> RangeAnswer:
+        ids = list(eligible.filter_mobile(candidates, query.where,
+                                          query.class_name))
+        return refine_range(
+            self._db, query.polygon, query.time, ids,
+            self._entries_for(ids, query.time),
+            eligible.stationary(query.where, query.class_name),
         )
 
     def _answer_within(self, query: WithinDistanceQuery,
                        candidates: set[str],
-                       eligible: "_EligibilitySets") -> RangeAnswer:
-        db = self._db
-        registry = get_registry()
-        counters = (_classification_counters(registry)
-                    if registry.enabled else None)
-        kept = eligible.filter_mobile(candidates, query.where,
-                                      query.class_name)
-        center, radius, t = query.center, query.radius, query.time
-        may: set[str] = set()
-        must: set[str] = set()
-        ids = list(kept)
-        entries = self._entries_for(ids, t)
-        out_mask = must_mask = None
-        if self.vectorize and len(ids) >= _MIN_VEC_CANDIDATES:
-            out_mask, must_mask = vec_geom.within_pretest(
-                center, radius, [entry[3] for entry in entries]
-            )
-        for i, object_id in enumerate(ids):
-            geometry, bbox = entries[i][2:]
-            # Bbox distance bounds bracket the exact min/max distances
-            # (the geometry lies inside its bbox), so these shortcuts
-            # agree with the exact classification whenever they fire.
-            # The vectorized screens are a hair conservative, so an
-            # ulp-boundary bbox merely falls through to the exact
-            # classifier; the outcome is the same either way.
-            if (_rect_min_distance(center, bbox) > radius if out_mask is None
-                    else out_mask[i]):
-                outcome = Containment.OUT
-            elif (_rect_max_distance(center, bbox) <= radius
-                  if must_mask is None else must_mask[i]):
-                outcome = Containment.MUST
-            else:
-                outcome = classify_polyline_within_distance(
-                    center, radius, geometry
-                )
-            if counters is not None:
-                db._count_outcome(counters, outcome)
-            if outcome == Containment.OUT:
-                continue
-            may.add(object_id)
-            if outcome == Containment.MUST:
-                must.add(object_id)
-        examined = len(kept)
-        for object_id in eligible.stationary(query.where, query.class_name):
-            examined += 1
-            if db._stationary[object_id][1].distance_to(center) <= radius:
-                may.add(object_id)
-                must.add(object_id)
-        return RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(kept),
+                       eligible: _EligibilitySets) -> RangeAnswer:
+        ids = list(eligible.filter_mobile(candidates, query.where,
+                                          query.class_name))
+        return refine_within(
+            self._db, query.center, query.radius, query.time, ids,
+            self._entries_for(ids, query.time),
+            eligible.stationary(query.where, query.class_name),
         )
 
     def _publish(self, queries: list[BatchQuery], hits_before: int,
@@ -738,16 +828,12 @@ class _EligibilitySets:
         try:
             key = self._key(where, class_name)
         except TypeError:
-            return db._filter_candidates(
-                db.stationary_id_set(), where, class_name
-            )
+            return db._stationary_for(where, class_name)
         if key is _NO_FILTER:
             return db.stationary_id_set()
         passing = self._stationary.get(key)
         if passing is None:
-            passing = frozenset(db._filter_candidates(
-                db.stationary_id_set(), where, class_name
-            ))
+            passing = frozenset(db._stationary_for(where, class_name))
             self._stationary[key] = passing
         return passing
 
@@ -758,4 +844,11 @@ __all__ = [
     "PositionQuery",
     "RangeQuery",
     "WithinDistanceQuery",
+    "derive_entries",
+    "nearest_entries",
+    "record_batch",
+    "refine_proximity",
+    "refine_range",
+    "refine_within",
+    "validate_queries",
 ]

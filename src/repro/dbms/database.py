@@ -16,16 +16,22 @@ from typing import Any
 
 from repro.core.policy import UpdatePolicy
 from repro.core.position import PositionAttribute
+from repro.dbms.batch import (
+    Entry,
+    derive_entries,
+    nearest_entries,
+    refine_proximity,
+    refine_range,
+    refine_within,
+)
 from repro.dbms.moving_object import MovingObjectRecord
 from repro.dbms.query import (
-    Containment,
     NearestAnswer,
     PositionAnswer,
     RangeAnswer,
-    classify_against_polygon,
-    classify_within_distance,
-    distance_range_between_intervals,
-    distance_range_to_interval,
+    check_radius,
+    disc_window,
+    rank_nearest,
 )
 from repro.dbms.schema import Schema, SpatialKind
 from repro.dbms.storage import Table
@@ -33,9 +39,9 @@ from repro.dbms.update_log import PositionUpdateMessage, UpdateLog
 from repro.errors import QueryError, SchemaError
 from repro.geometry.bbox import Rect2D
 from repro.obs.instrument import timed
-from repro.obs.registry import get_registry
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.polyline import Polyline
 from repro.index.oplane import OPlane
 from repro.index.rtree import SearchStats
 from repro.routes.route import Route, RouteDatabase
@@ -54,20 +60,37 @@ _QUERY_SECONDS = "dbms_query_seconds"
 _QUERY_HELP = "Query-processor latency by query kind."
 
 
-def _classification_counters(registry):
-    """(out, may, must) counters for refinement outcome accounting."""
-    help_text = "Candidate classifications by may/must outcome."
-    return (
-        registry.counter("dbms_classified_total", help=help_text,
-                         outcome="out"),
-        registry.counter("dbms_classified_total", help=help_text,
-                         outcome="may"),
-        registry.counter("dbms_classified_total", help=help_text,
-                         outcome="must"),
-    )
+class DatabaseClock:
+    """The write/query clock shared by the single and sharded databases.
+
+    Position attributes are not multi-versioned (valid time =
+    transaction time, §2): writes must not precede the latest time the
+    database has seen, and queries address the current or a future
+    time (§4.2).
+    """
+
+    clock_time: float
+
+    def _advance_clock(self, t: float) -> None:
+        if t < self.clock_time - 1e-9:
+            raise QueryError(
+                f"write at time {t} precedes database clock {self.clock_time} "
+                "(updates are instantaneous and time-ordered)"
+            )
+        self.clock_time = max(self.clock_time, t)
+
+    def _check_query_time(self, t: float) -> None:
+        """Queries address the current or a future time (§4.2)."""
+        if math.isnan(t):
+            raise QueryError(f"query time must be a number, got {t}")
+        if t < self.clock_time - 1e-9:
+            raise QueryError(
+                f"query time {t} is in the past (database clock is "
+                f"{self.clock_time}); position attributes are not versioned"
+            )
 
 
-class MovingObjectDatabase:
+class MovingObjectDatabase(DatabaseClock):
     """A database of moving (and stationary) objects.
 
     ``index`` may be a :class:`~repro.index.timespace.TimeSpaceIndex`,
@@ -380,22 +403,6 @@ class MovingObjectDatabase:
     # Queries
     # ------------------------------------------------------------------
 
-    def _advance_clock(self, t: float) -> None:
-        if t < self.clock_time - 1e-9:
-            raise QueryError(
-                f"write at time {t} precedes database clock {self.clock_time} "
-                "(updates are instantaneous and time-ordered)"
-            )
-        self.clock_time = max(self.clock_time, t)
-
-    def _check_query_time(self, t: float) -> None:
-        """Queries address the current or a future time (§4.2)."""
-        if t < self.clock_time - 1e-9:
-            raise QueryError(
-                f"query time {t} is in the past (database clock is "
-                f"{self.clock_time}); position attributes are not versioned"
-            )
-
     def _earliest_starttime(self) -> float | None:
         """The minimum ``starttime`` over all records, in O(1) amortised.
 
@@ -467,8 +474,9 @@ class MovingObjectDatabase:
         With an index attached, candidates come from the time-space
         index (sublinear); otherwise every object is examined.  Either
         way, candidates are refined to exact may/must sets through
-        their uncertainty intervals.  Stationary objects are answered
-        exactly (always *must* when inside).
+        their uncertainty intervals (:func:`repro.dbms.batch.refine_range`).
+        Stationary objects are answered exactly (always *must* when
+        inside).
 
         ``where`` filters on non-spatial attribute equality and
         ``class_name`` restricts to one object class — together they
@@ -477,38 +485,10 @@ class MovingObjectDatabase:
         """
         self._check_query_time(t)
         self._check_index_coverage(t)
-        registry = get_registry()
-        counters = _classification_counters(registry) if registry.enabled else None
-        candidates = self._candidates(polygon.bounding_rect, t, stats)
-        candidates = self._filter_candidates(candidates, where, class_name)
-        may: set[str] = set()
-        must: set[str] = set()
-        for object_id in candidates:
-            record = self._records[object_id]
-            route = self.routes.get(record.attribute.route_id)
-            interval = record.uncertainty(route, t)
-            outcome = classify_against_polygon(interval, route, polygon)
-            if counters is not None:
-                self._count_outcome(counters, outcome)
-            if outcome == Containment.OUT:
-                continue
-            may.add(object_id)
-            if outcome == Containment.MUST:
-                must.add(object_id)
-        examined = len(candidates)
-        for object_id in self._filter_candidates(
-            self.stationary_id_set(), where, class_name
-        ):
-            examined += 1
-            if polygon.contains_point(self._stationary[object_id][1]):
-                may.add(object_id)
-                must.add(object_id)
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(candidates),
+        ids = self._eligible(polygon.bounding_rect, t, stats, where, class_name)
+        answer = refine_range(
+            self, polygon, t, ids, self._entries(ids, t),
+            self._stationary_for(where, class_name),
         )
         rec = get_recorder()
         if rec.enabled:
@@ -518,15 +498,6 @@ class MovingObjectDatabase:
                 where=where, class_name=class_name,
             )
         return answer
-
-    @staticmethod
-    def _count_outcome(counters, outcome: Containment) -> None:
-        if outcome == Containment.OUT:
-            counters[0].inc()
-        elif outcome == Containment.MUST:
-            counters[2].inc()
-        else:
-            counters[1].inc()
 
     @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="within")
     def within_distance(self, center: Point, radius: float, t: float,
@@ -540,44 +511,12 @@ class MovingObjectDatabase:
         """
         self._check_query_time(t)
         self._check_index_coverage(t)
-        if radius < 0:
-            raise QueryError(f"radius must be nonnegative, got {radius}")
-        window = Rect2D(
-            center.x - radius, center.y - radius,
-            center.x + radius, center.y + radius,
-        )
-        registry = get_registry()
-        counters = _classification_counters(registry) if registry.enabled else None
-        candidates = self._candidates(window, t, stats)
-        candidates = self._filter_candidates(candidates, where, class_name)
-        may: set[str] = set()
-        must: set[str] = set()
-        for object_id in candidates:
-            record = self._records[object_id]
-            route = self.routes.get(record.attribute.route_id)
-            interval = record.uncertainty(route, t)
-            outcome = classify_within_distance(center, radius, interval, route)
-            if counters is not None:
-                self._count_outcome(counters, outcome)
-            if outcome == Containment.OUT:
-                continue
-            may.add(object_id)
-            if outcome == Containment.MUST:
-                must.add(object_id)
-        examined = len(candidates)
-        for object_id in self._filter_candidates(
-            self.stationary_id_set(), where, class_name
-        ):
-            examined += 1
-            if self._stationary[object_id][1].distance_to(center) <= radius:
-                may.add(object_id)
-                must.add(object_id)
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(candidates),
+        check_radius(radius)
+        ids = self._eligible(disc_window(center, radius), t, stats,
+                             where, class_name)
+        answer = refine_within(
+            self, center, radius, t, ids, self._entries(ids, t),
+            self._stationary_for(where, class_name),
         )
         rec = get_recorder()
         if rec.enabled:
@@ -604,54 +543,11 @@ class MovingObjectDatabase:
         from the answer.
         """
         self._check_query_time(t)
-        if radius < 0:
-            raise QueryError(f"radius must be nonnegative, got {radius}")
+        check_radius(radius)
         self._check_index_coverage(t)
-        anchor = self.record(anchor_id)
-        anchor_route = self.routes.get(anchor.attribute.route_id)
-        anchor_interval = anchor.uncertainty(anchor_route, t)
-        # Candidate window: the anchor's interval bbox grown by the
-        # radius (anything farther cannot even *may* qualify).
-        bbox = anchor_interval.geometry(anchor_route).bounding_rect()
-        window = bbox.expanded(radius)
-        candidates = self._candidates(window, t, None)
-        candidates = self._filter_candidates(candidates, where, class_name)
-        candidates.discard(anchor_id)
-        may: set[str] = set()
-        must: set[str] = set()
-        for object_id in candidates:
-            record = self._records[object_id]
-            route = self.routes.get(record.attribute.route_id)
-            interval = record.uncertainty(route, t)
-            minimum, maximum = distance_range_between_intervals(
-                anchor_interval, anchor_route, interval, route
-            )
-            if minimum > radius:
-                continue
-            may.add(object_id)
-            if maximum <= radius:
-                must.add(object_id)
-        examined = len(candidates)
-        for object_id in self._filter_candidates(
-            self.stationary_id_set(), where, class_name
-        ):
-            examined += 1
-            point = self._stationary[object_id][1]
-            minimum, maximum = distance_range_to_interval(
-                point, anchor_interval, anchor_route
-            )
-            if minimum > radius:
-                continue
-            may.add(object_id)
-            if maximum <= radius:
-                must.add(object_id)
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(candidates),
-        )
+        anchor, window = self._proximity_anchor(anchor_id, radius, t)
+        answer = self._proximity_piece(anchor_id, anchor, window, radius, t,
+                                       where, class_name)
         rec = get_recorder()
         if rec.enabled:
             rec.record_query(
@@ -660,6 +556,33 @@ class MovingObjectDatabase:
                 where=where, class_name=class_name,
             )
         return answer
+
+    def _proximity_anchor(self, anchor_id: str, radius: float,
+                          t: float) -> tuple[Polyline, Rect2D]:
+        """The anchor's interval geometry and the candidate window.
+
+        The window is the geometry's bbox grown by the radius: anything
+        farther cannot even *may* qualify.
+        """
+        entry = derive_entries(self, [self.record(anchor_id)], t)[0]
+        return entry[2], entry[3].expanded(radius)
+
+    def _proximity_piece(self, anchor_id: str, anchor: Polyline,
+                         window: Rect2D, radius: float, t: float,
+                         where: dict[str, Any] | None,
+                         class_name: str | None) -> RangeAnswer:
+        """This database's share of a proximity answer.
+
+        Its mobile candidates in ``window`` (the anchor excluded) and
+        its stationary objects, refined against the anchor geometry.
+        """
+        ids = [object_id for object_id
+               in self._eligible(window, t, None, where, class_name)
+               if object_id != anchor_id]
+        return refine_proximity(
+            self, anchor, radius, t, ids, self._entries(ids, t),
+            self._stationary_for(where, class_name),
+        )
 
     @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="nearest")
     def nearest(self, center: Point, k: int, t: float,
@@ -678,43 +601,9 @@ class MovingObjectDatabase:
         distance-ordered traversal the box index does not provide.
         """
         self._check_query_time(t)
-        if k < 1:
-            raise QueryError(f"k must be positive, got {k}")
-        candidates = self._filter_candidates(
-            set(self._records), where, class_name
+        results = rank_nearest(
+            self._nearest_entries(center, t, where, class_name), k
         )
-        entries: list[NearestAnswer] = []
-        for object_id in candidates:
-            record = self._records[object_id]
-            route = self.routes.get(record.attribute.route_id)
-            interval = record.uncertainty(route, t)
-            minimum, maximum = distance_range_to_interval(
-                center, interval, route
-            )
-            entries.append(
-                NearestAnswer(object_id, minimum, maximum)
-            )
-        for object_id in self._filter_candidates(
-            self.stationary_id_set(), where, class_name
-        ):
-            distance = self._stationary[object_id][1].distance_to(center)
-            entries.append(NearestAnswer(object_id, distance, distance))
-        entries.sort(key=lambda e: (e.min_distance, e.object_id))
-        top = entries[:k]
-        results: list[NearestAnswer] = []
-        for rank, entry in enumerate(top):
-            later_minimum = min(
-                (other.min_distance for other in entries[rank + 1:]),
-                default=float("inf"),
-            )
-            results.append(
-                NearestAnswer(
-                    object_id=entry.object_id,
-                    min_distance=entry.min_distance,
-                    max_distance=entry.max_distance,
-                    certain=entry.max_distance <= later_minimum,
-                )
-            )
         rec = get_recorder()
         if rec.enabled:
             rec.record_query(
@@ -723,6 +612,34 @@ class MovingObjectDatabase:
                 where=where, class_name=class_name,
             )
         return results
+
+    def _nearest_entries(self, center: Point, t: float,
+                         where: dict[str, Any] | None,
+                         class_name: str | None) -> list[NearestAnswer]:
+        """Unranked distance bounds of every eligible object."""
+        ids = list(self._filter_candidates(self._records.keys(), where,
+                                           class_name))
+        return nearest_entries(self, center, ids, self._entries(ids, t),
+                               self._stationary_for(where, class_name))
+
+    def _entries(self, object_ids: list[str], t: float) -> list[Entry]:
+        """Uncached uncertainty entries of mobile objects at ``t``."""
+        records = self._records
+        return derive_entries(self, [records[i] for i in object_ids], t)
+
+    def _eligible(self, window: Rect2D, t: float, stats: SearchStats | None,
+                  where: dict[str, Any] | None,
+                  class_name: str | None) -> list[str]:
+        """Filtered mobile candidates of ``window`` at ``t``."""
+        return list(self._filter_candidates(
+            self._candidates(window, t, stats), where, class_name
+        ))
+
+    def _stationary_for(self, where: dict[str, Any] | None,
+                        class_name: str | None):
+        """Stationary ids passing the ``where``/``class_name`` filters."""
+        return self._filter_candidates(self.stationary_id_set(), where,
+                                       class_name)
 
     def _filter_candidates(self, candidates: set[str] | frozenset[str],
                            where: dict[str, Any] | None,

@@ -23,10 +23,12 @@ The within-distance variant ("the cabs currently within 1 mile of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.uncertainty import UncertaintyInterval
 from repro.errors import QueryError
+from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
@@ -57,6 +59,20 @@ class Containment:
     MUST = "must"
     MAY = "may"
     OUT = "out"
+
+
+def check_radius(radius: float) -> None:
+    """Reject a negative or NaN query radius with a one-line error."""
+    if not radius >= 0:
+        raise QueryError(f"radius must be nonnegative, got {radius}")
+
+
+def disc_window(center: Point, radius: float) -> Rect2D:
+    """The candidate window of a disc query: its bounding square."""
+    return Rect2D(
+        center.x - radius, center.y - radius,
+        center.x + radius, center.y + radius,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,19 +149,13 @@ def distance_range_to_interval(center: Point, interval: UncertaintyInterval,
     return distance_range_to_polyline(center, interval.geometry(route))
 
 
-def distance_range_between_intervals(
-        interval_a: UncertaintyInterval, route_a: Route,
-        interval_b: UncertaintyInterval, route_b: Route) -> tuple[float, float]:
-    """Min and max Euclidean distance between two uncertainty intervals.
+def distance_range_between_polylines(geometry_a: Polyline,
+                                     geometry_b: Polyline) -> tuple[float, float]:
+    """Min and max Euclidean distance between two polylines.
 
-    The proximity semantics for *moving-to-moving* queries ("the trucks
-    within 1 mile of truck ABT312"): both objects are uncertain, so the
-    true distance lies between the closest and farthest point pairs of
-    the two route strips.  The minimum is attained between segments,
-    the maximum between vertices (distance is convex along each strip).
+    The minimum is attained between segments, the maximum between
+    vertices (distance is convex along each polyline).
     """
-    geometry_a = interval_a.geometry(route_a)
-    geometry_b = interval_b.geometry(route_b)
     minimum = min(
         sa.distance_to_segment(sb)
         for sa in geometry_a.segments()
@@ -157,6 +167,21 @@ def distance_range_between_intervals(
         for vb in geometry_b.vertices
     )
     return minimum, maximum
+
+
+def distance_range_between_intervals(
+        interval_a: UncertaintyInterval, route_a: Route,
+        interval_b: UncertaintyInterval, route_b: Route) -> tuple[float, float]:
+    """Min and max Euclidean distance between two uncertainty intervals.
+
+    The proximity semantics for *moving-to-moving* queries ("the trucks
+    within 1 mile of truck ABT312"): both objects are uncertain, so the
+    true distance lies between the closest and farthest point pairs of
+    the two route strips.
+    """
+    return distance_range_between_polylines(
+        interval_a.geometry(route_a), interval_b.geometry(route_b)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,17 +201,48 @@ class NearestAnswer:
     certain: bool = False
 
 
-def classify_polyline_within_distance(center: Point, radius: float,
-                                      geometry: Polyline) -> str:
-    """Disc classification for an interval's materialised geometry."""
-    if radius < 0:
-        raise QueryError(f"radius must be nonnegative, got {radius}")
-    minimum, maximum = distance_range_to_polyline(center, geometry)
+def rank_nearest(entries: list[NearestAnswer], k: int) -> list[NearestAnswer]:
+    """The ``k`` entries of least ``min_distance``, with ``certain`` set.
+
+    ``(min_distance, object_id)`` is a total order, so any arrangement
+    of the same entries (one database's, or several shards' pieces
+    concatenated) ranks identically.  An entry is ``certain`` when its
+    maximum distance is at most the minimum of every later-ranked
+    entry — the next one's, since entries are sorted by minimum.
+    """
+    if k < 1:
+        raise QueryError(f"k must be positive, got {k}")
+    entries = sorted(entries, key=lambda e: (e.min_distance, e.object_id))
+    results: list[NearestAnswer] = []
+    for rank, entry in enumerate(entries[:k]):
+        later_minimum = (entries[rank + 1].min_distance
+                         if rank + 1 < len(entries) else math.inf)
+        results.append(NearestAnswer(
+            object_id=entry.object_id,
+            min_distance=entry.min_distance,
+            max_distance=entry.max_distance,
+            certain=entry.max_distance <= later_minimum,
+        ))
+    return results
+
+
+def classify_distance_range(minimum: float, maximum: float,
+                            radius: float) -> str:
+    """May/must outcome of a ``[minimum, maximum]`` distance vs ``radius``."""
     if minimum > radius:
         return Containment.OUT
     if maximum <= radius:
         return Containment.MUST
     return Containment.MAY
+
+
+def classify_polyline_within_distance(center: Point, radius: float,
+                                      geometry: Polyline) -> str:
+    """Disc classification for an interval's materialised geometry."""
+    check_radius(radius)
+    return classify_distance_range(
+        *distance_range_to_polyline(center, geometry), radius
+    )
 
 
 def classify_within_distance(center: Point, radius: float,
@@ -202,11 +258,16 @@ __all__ = [
     "NearestAnswer",
     "PositionAnswer",
     "RangeAnswer",
+    "check_radius",
     "classify_against_polygon",
+    "classify_distance_range",
     "classify_polyline_against_polygon",
     "classify_polyline_within_distance",
     "classify_within_distance",
+    "disc_window",
     "distance_range_between_intervals",
+    "distance_range_between_polylines",
     "distance_range_to_interval",
     "distance_range_to_polyline",
+    "rank_nearest",
 ]

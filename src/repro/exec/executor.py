@@ -41,15 +41,8 @@ from repro.sim.engine import PolicySimulation, supports_fast_path
 from repro.sim.metrics import TripMetrics, aggregate_metrics
 from repro.sim.speed_curves import SpeedCurve
 from repro.sim.trip import Trip
-from repro.vec import vectorization_default
-
-try:
-    from repro.vec.batch import VecTripBatch
-    from repro.vec.engine import simulate_batch
-
-    _HAVE_VEC = True
-except ImportError:  # numpy is optional at runtime; scalar path always works
-    _HAVE_VEC = False
+from repro.vec.batch import VecTripBatch
+from repro.vec.engine import simulate_batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +113,7 @@ _MIN_VEC_TRIPS = 32
 
 
 def _run_cells(spec: SweepSpec, indexed_cells: list[tuple[int, SweepCell]],
-               grids: list[TickGrid],
-               vectorize: bool) -> list[tuple[int, TripMetrics]]:
+               grids: list[TickGrid]) -> list[tuple[int, TripMetrics]]:
     """Run cells (with their aligned grids), vectorizing uniform runs.
 
     ``_decompose`` orders cells (policy, cost, trip), so consecutive
@@ -144,15 +136,14 @@ def _run_cells(spec: SweepSpec, indexed_cells: list[tuple[int, SweepCell]],
                 break
             stop += 1
         results.extend(_run_cell_group(
-            spec, indexed_cells[start:stop], grids[start:stop], vectorize
+            spec, indexed_cells[start:stop], grids[start:stop]
         ))
         start = stop
     return results
 
 
 def _run_cell_group(spec: SweepSpec, run: list[tuple[int, SweepCell]],
-                    run_grids: list[TickGrid],
-                    vectorize: bool) -> list[tuple[int, TripMetrics]]:
+                    run_grids: list[TickGrid]) -> list[tuple[int, TripMetrics]]:
     """One (policy, cost) trip block: vectorized when eligible.
 
     Eligibility mirrors the scalar engine's own fast-path gate plus
@@ -161,7 +152,7 @@ def _run_cell_group(spec: SweepSpec, run: list[tuple[int, SweepCell]],
     and grids that share the spec's tick layout.  Ineligible runs fall back to
     :func:`_simulate_cell` per cell — same results, scalar speed.
     """
-    if vectorize and _HAVE_VEC and len(run) >= _MIN_VEC_TRIPS:
+    if len(run) >= _MIN_VEC_TRIPS:
         from repro.core.policies import make_policy
 
         head = run[0][1]
@@ -202,15 +193,12 @@ def _uniform_grids(grids: list[TickGrid], dt: float) -> bool:
 # initializer so tasks only carry lightweight cell tuples.
 _WORKER_SPEC: SweepSpec | None = None
 _WORKER_GRIDS: list[TickGrid] | None = None
-_WORKER_VECTORIZE: bool = False
 
 
-def _init_worker(spec: SweepSpec, grids: list[TickGrid],
-                 vectorize: bool = False) -> None:
-    global _WORKER_SPEC, _WORKER_GRIDS, _WORKER_VECTORIZE
+def _init_worker(spec: SweepSpec, grids: list[TickGrid]) -> None:
+    global _WORKER_SPEC, _WORKER_GRIDS
     _WORKER_SPEC = spec
     _WORKER_GRIDS = grids
-    _WORKER_VECTORIZE = vectorize
 
 
 def _run_chunk(
@@ -233,7 +221,7 @@ def _run_chunk(
     start = perf_counter()
     if not observed and not traced:
         grids = [_WORKER_GRIDS[cell.trip_index] for _, cell in chunk]
-        results = _run_cells(_WORKER_SPEC, chunk, grids, _WORKER_VECTORIZE)
+        results = _run_cells(_WORKER_SPEC, chunk, grids)
         return results, perf_counter() - start, None, None
     from contextlib import ExitStack
 
@@ -278,15 +266,11 @@ class SweepExecutor:
     """
 
     def __init__(self, jobs: int = 1,
-                 cache: TripTickCache | None = None,
-                 vectorize: bool | None = None) -> None:
+                 cache: TripTickCache | None = None) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache if cache is not None else TripTickCache()
-        if vectorize is None:
-            vectorize = vectorization_default()
-        self.vectorize = bool(vectorize) and _HAVE_VEC
 
     def run(self, spec: SweepSpec,
             curves: list[SpeedCurve] | None = None,
@@ -324,15 +308,14 @@ class SweepExecutor:
                     self.cache.grid_for(trips[cell.trip_index], spec.dt)
                     for cell in cells
                 ]
-                if (self.vectorize and not observed
-                        and not get_tracer().enabled):
+                if not observed and not get_tracer().enabled:
                     # The vectorized engine emits one span per batch
                     # and no per-tick instruments, so it only runs
                     # when nobody is observing; results are identical
                     # either way.
                     cell_metrics = [
                         metrics for _, metrics in _run_cells(
-                            spec, list(enumerate(cells)), cell_grids, True
+                            spec, list(enumerate(cells)), cell_grids
                         )
                     ]
                 else:
@@ -392,7 +375,7 @@ class SweepExecutor:
             max_workers=min(self.jobs, len(chunks)),
             mp_context=_pool_context(),
             initializer=_init_worker,
-            initargs=(spec, grids, self.vectorize),
+            initargs=(spec, grids),
         ) as pool:
             for chunk_index, future in enumerate(
                 [pool.submit(_run_chunk, chunk) for chunk in chunks]

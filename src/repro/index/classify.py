@@ -10,23 +10,29 @@ For a query polygon ``G`` at time ``t0`` and a moving object ``o``:
   the closed route strips produced here that means the entire interval
   lies inside G.
 
-These operate directly on an :class:`~repro.index.oplane.OPlane`; the
-DBMS applies the same geometry via
-:func:`repro.dbms.query.classify_against_polygon` after retrieving
+These operate directly on an :class:`~repro.index.oplane.OPlane` and
+classify through :func:`repro.dbms.query.classify_polyline_against_polygon`,
+the predicate every DBMS query route refines with after retrieving
 candidates from the index.
 """
 
 from __future__ import annotations
 
+from repro.dbms.query import Containment, classify_polyline_against_polygon
 from repro.geometry.polygon import Polygon
 from repro.index.oplane import OPlane
 
 
+def _classify(plane: OPlane, polygon: Polygon, t: float) -> str:
+    interval = plane.uncertainty_at(t)
+    return classify_polyline_against_polygon(
+        interval.geometry(plane.route), polygon
+    )
+
+
 def may_be_in(plane: OPlane, polygon: Polygon, t: float) -> bool:
     """Theorem 5: ``R_G(t0)`` intersects the o-plane."""
-    interval = plane.uncertainty_at(t)
-    geometry = interval.geometry(plane.route)
-    return polygon.intersects_polyline(geometry)
+    return _classify(plane, polygon, t) != Containment.OUT
 
 
 def must_be_in(plane: OPlane, polygon: Polygon, t: float) -> bool:
@@ -37,11 +43,7 @@ def must_be_in(plane: OPlane, polygon: Polygon, t: float) -> bool:
     sound for arbitrary simple polygons (an interval can leave and
     re-enter a non-convex region between contained endpoints).
     """
-    interval = plane.uncertainty_at(t)
-    geometry = interval.geometry(plane.route)
-    if not polygon.intersects_polyline(geometry):
-        return False
-    return polygon.contains_polyline(geometry)
+    return _classify(plane, polygon, t) == Containment.MUST
 
 __all__ = [
     "may_be_in",

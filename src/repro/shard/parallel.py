@@ -29,15 +29,15 @@ from repro.dbms.batch import (
     BatchQueryEngine,
     PositionQuery,
     RangeQuery,
+    record_batch,
+    validate_queries,
 )
 from repro.dbms.database import MovingObjectDatabase
-from repro.dbms.query import RangeAnswer
+from repro.dbms.query import disc_window
 from repro.errors import QueryError
-from repro.geometry.bbox import Rect2D
 from repro.index.rtree import SearchStats
-from repro.shard.sharded import ShardedDatabase, quiet_recording
-from repro.trace.events import CACHE, answer_digest
-from repro.trace.recorder import get_recorder, set_recorder
+from repro.shard.sharded import ShardedDatabase, _merge_range, quiet_recording
+from repro.trace.recorder import set_recorder
 
 
 def _pool_context():
@@ -51,15 +51,12 @@ def _pool_context():
 
 
 _WORKER_SHARDS: list[MovingObjectDatabase] | None = None
-_WORKER_VECTORIZE: bool | None = None
 
 
-def _init_worker(shards: list[MovingObjectDatabase],
-                 vectorize: bool | None) -> None:
+def _init_worker(shards: list[MovingObjectDatabase]) -> None:
     """Install the forked shard databases as this worker's globals."""
-    global _WORKER_SHARDS, _WORKER_VECTORIZE
+    global _WORKER_SHARDS
     _WORKER_SHARDS = shards
-    _WORKER_VECTORIZE = vectorize
     # The parent's recorder arrives through fork; workers must not
     # append to it — the facade emits the canonical event stream.
     set_recorder(None)
@@ -69,30 +66,11 @@ def _run_shard_batch(shard: int, queries: list[BatchQuery]) -> tuple[
         int, list[BatchAnswer], int, int, tuple[int, int, int]]:
     """Answer one shard's sub-batch in a worker process."""
     assert _WORKER_SHARDS is not None
-    engine = BatchQueryEngine(_WORKER_SHARDS[shard],
-                              vectorize=_WORKER_VECTORIZE)
+    engine = BatchQueryEngine(_WORKER_SHARDS[shard])
     stats = SearchStats()
     answers = engine.run(queries, stats)
     return (shard, answers, engine.cache_hits, engine.cache_misses,
             (stats.nodes_visited, stats.entries_tested, stats.results))
-
-
-def _merge_range(previous: RangeAnswer | None,
-                 piece: RangeAnswer) -> RangeAnswer:
-    """Fold one shard's (or the stationary store's) partial answer in.
-
-    Candidate sets partition by owner shard, so unions and sums
-    reproduce the single-shard fields exactly.
-    """
-    if previous is None:
-        return piece
-    return RangeAnswer(
-        time=piece.time,
-        may=previous.may | piece.may,
-        must=previous.must | piece.must,
-        examined=previous.examined + piece.examined,
-        candidates=previous.candidates | piece.candidates,
-    )
 
 
 class ShardedBatchQueryEngine:
@@ -104,13 +82,11 @@ class ShardedBatchQueryEngine:
     for every ``(shards, jobs)`` combination.
     """
 
-    def __init__(self, database: ShardedDatabase, jobs: int = 1,
-                 vectorize: bool | None = None) -> None:
+    def __init__(self, database: ShardedDatabase, jobs: int = 1) -> None:
         if jobs < 1:
             raise QueryError(f"jobs must be >= 1, got {jobs}")
         self._db = database
         self.jobs = jobs
-        self.vectorize = vectorize
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -126,7 +102,7 @@ class ShardedBatchQueryEngine:
     def run(self, queries: list[BatchQuery],
             stats: SearchStats | None = None) -> list[BatchAnswer]:
         """Answer ``queries`` in order via per-shard sub-batches."""
-        self._validate(queries)
+        validate_queries(self._db, queries)
         num_shards = self._db.num_shards
         shard_queries: list[list[BatchQuery]] = [
             [] for _ in range(num_shards)
@@ -144,11 +120,7 @@ class ShardedBatchQueryEngine:
                 window = query.polygon.bounding_rect
                 kind = "range"
             else:
-                center, radius = query.center, query.radius
-                window = Rect2D(
-                    center.x - radius, center.y - radius,
-                    center.x + radius, center.y + radius,
-                )
+                window = disc_window(query.center, query.radius)
                 kind = "within"
             fanned = self._db.shards_for_window(window)
             for shard in fanned:
@@ -173,10 +145,7 @@ class ShardedBatchQueryEngine:
         else:
             with quiet_recording():
                 for shard in active:
-                    engine = BatchQueryEngine(
-                        self._db.shard_databases[shard],
-                        vectorize=self.vectorize,
-                    )
+                    engine = BatchQueryEngine(self._db.shard_databases[shard])
                     shard_answers[shard] = engine.run(
                         shard_queries[shard], stats
                     )
@@ -187,7 +156,7 @@ class ShardedBatchQueryEngine:
         if stationary_queries:
             with quiet_recording():
                 stationary_engine = BatchQueryEngine(
-                    self._db.stationary_database, vectorize=self.vectorize
+                    self._db.stationary_database
                 )
                 stationary_answers = stationary_engine.run(
                     stationary_queries
@@ -213,22 +182,8 @@ class ShardedBatchQueryEngine:
         ]
         if len(answers) != len(queries):  # pragma: no cover - routing bug
             raise QueryError("sharded batch produced incomplete answers")
-        self._record(queries, answers, run_hits, run_misses)
+        record_batch(queries, answers, run_hits, run_misses)
         return answers
-
-    def _validate(self, queries: list[BatchQuery]) -> None:
-        """The single-engine validation sequence against facade state."""
-        db = self._db
-        for query in queries:
-            db._check_query_time(query.time)
-            if isinstance(query, PositionQuery):
-                db.record(query.object_id)
-                continue
-            db._check_index_coverage(query.time)
-            if not isinstance(query, RangeQuery) and query.radius < 0:
-                raise QueryError(
-                    f"radius must be nonnegative, got {query.radius}"
-                )
 
     def _run_parallel(self, active: list[int],
                       shard_queries: list[list[BatchQuery]],
@@ -241,7 +196,7 @@ class ShardedBatchQueryEngine:
             max_workers=min(self.jobs, len(active)),
             mp_context=_pool_context(),
             initializer=_init_worker,
-            initargs=(list(self._db.shard_databases), self.vectorize),
+            initargs=(list(self._db.shard_databases),),
         ) as pool:
             futures = [
                 pool.submit(_run_shard_batch, shard, shard_queries[shard])
@@ -257,38 +212,6 @@ class ShardedBatchQueryEngine:
                     stats.entries_tested += counted[1]
                     stats.results += counted[2]
         return run_hits, run_misses
-
-    def _record(self, queries: list[BatchQuery],
-                answers: list[BatchAnswer], run_hits: int,
-                run_misses: int) -> None:
-        """Emit the batch's trace events, single-engine shaped."""
-        rec = get_recorder()
-        if not rec.enabled or not queries:
-            return
-        batch = rec.next_batch_id()
-        for i, (query, answer) in enumerate(zip(queries, answers)):
-            if isinstance(query, PositionQuery):
-                rec.record_query(
-                    "position", answer_digest(answer),
-                    time=query.time, object_id=query.object_id,
-                    engine="batch", batch=batch, index=i,
-                )
-            elif isinstance(query, RangeQuery):
-                rec.record_query(
-                    "range", answer_digest(answer), time=query.time,
-                    engine="batch", batch=batch, index=i,
-                    polygon=[[v.x, v.y] for v in query.polygon.vertices],
-                    where=query.where, class_name=query.class_name,
-                )
-            else:
-                rec.record_query(
-                    "within", answer_digest(answer), time=query.time,
-                    engine="batch", batch=batch, index=i,
-                    center=[query.center.x, query.center.y],
-                    radius=query.radius, where=query.where,
-                    class_name=query.class_name,
-                )
-        rec.record(CACHE, hits=run_hits, misses=run_misses)
 
 
 __all__ = [

@@ -39,14 +39,15 @@ from typing import Any, Callable, Iterator
 
 from repro.core.policy import UpdatePolicy
 from repro.core.position import PositionAttribute
-from repro.dbms.database import MovingObjectDatabase
+from repro.dbms.database import DatabaseClock, MovingObjectDatabase
 from repro.dbms.moving_object import MovingObjectRecord
 from repro.dbms.query import (
     NearestAnswer,
     PositionAnswer,
     RangeAnswer,
-    distance_range_between_intervals,
-    distance_range_to_interval,
+    check_radius,
+    disc_window,
+    rank_nearest,
 )
 from repro.dbms.schema import Schema, SpatialKind
 from repro.dbms.update_log import PositionUpdateMessage, UpdateLog
@@ -71,6 +72,10 @@ from repro.trace.events import (
 from repro.trace.recorder import get_recorder, set_recorder
 
 
+#: A per-database query: ``(database, stats)`` to that database's answer.
+PieceQuery = Callable[[MovingObjectDatabase, SearchStats | None], RangeAnswer]
+
+
 @contextmanager
 def quiet_recording() -> Iterator[None]:
     """Suppress the ambient recorder for the duration of the block.
@@ -89,7 +94,25 @@ def quiet_recording() -> Iterator[None]:
         set_recorder(rec)
 
 
-class ShardedDatabase:
+def _merge_range(previous: RangeAnswer | None,
+                 piece: RangeAnswer) -> RangeAnswer:
+    """Fold one shard's (or the stationary store's) partial answer in.
+
+    Candidate sets partition by owner shard, so unions and sums
+    reproduce the single-database fields exactly.
+    """
+    if previous is None:
+        return piece
+    return RangeAnswer(
+        time=piece.time,
+        may=previous.may | piece.may,
+        must=previous.must | piece.must,
+        examined=previous.examined + piece.examined,
+        candidates=previous.candidates | piece.candidates,
+    )
+
+
+class ShardedDatabase(DatabaseClock):
     """N :class:`MovingObjectDatabase` shards behind one facade.
 
     ``index_factory`` builds one index per shard (``None`` leaves the
@@ -217,23 +240,8 @@ class ShardedDatabase:
             else current.union(bbox)
 
     # ------------------------------------------------------------------
-    # Clock and validation (mirrors MovingObjectDatabase exactly)
+    # Validation (the clock comes from DatabaseClock)
     # ------------------------------------------------------------------
-
-    def _advance_clock(self, t: float) -> None:
-        if t < self.clock_time - 1e-9:
-            raise QueryError(
-                f"write at time {t} precedes database clock {self.clock_time} "
-                "(updates are instantaneous and time-ordered)"
-            )
-        self.clock_time = max(self.clock_time, t)
-
-    def _check_query_time(self, t: float) -> None:
-        if t < self.clock_time - 1e-9:
-            raise QueryError(
-                f"query time {t} is in the past (database clock is "
-                f"{self.clock_time}); position attributes are not versioned"
-            )
 
     def _check_index_coverage(self, t: float) -> None:
         if self._shards[0]._index is None:
@@ -461,34 +469,10 @@ class ShardedDatabase:
         """Fan a polygon query to covered shards and merge the answers."""
         self._check_query_time(t)
         self._check_index_coverage(t)
-        fanned = self.shards_for_window(polygon.bounding_rect)
-        may: set[str] = set()
-        must: set[str] = set()
-        candidates: set[str] = set()
-        examined = 0
-        with quiet_recording():
-            for shard in fanned:
-                sub = self._shards[shard].range_query(
-                    polygon, t, stats, where, class_name
-                )
-                may |= sub.may
-                must |= sub.must
-                candidates |= sub.candidates
-                examined += sub.examined
-            stationary = self._stationary_db.range_query(
-                polygon, t, None, where, class_name
-            )
-        may |= stationary.may
-        must |= stationary.must
-        examined += stationary.examined
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(candidates),
+        answer = self._fan_out(
+            "range", polygon.bounding_rect, stats,
+            lambda db, s: db.range_query(polygon, t, s, where, class_name),
         )
-        self._publish_fanout("range", len(fanned))
         rec = get_recorder()
         if rec.enabled:
             rec.record_query(
@@ -505,40 +489,12 @@ class ShardedDatabase:
         """Fan a distance query to covered shards and merge the answers."""
         self._check_query_time(t)
         self._check_index_coverage(t)
-        if radius < 0:
-            raise QueryError(f"radius must be nonnegative, got {radius}")
-        window = Rect2D(
-            center.x - radius, center.y - radius,
-            center.x + radius, center.y + radius,
+        check_radius(radius)
+        answer = self._fan_out(
+            "within", disc_window(center, radius), stats,
+            lambda db, s: db.within_distance(center, radius, t, s, where,
+                                             class_name),
         )
-        fanned = self.shards_for_window(window)
-        may: set[str] = set()
-        must: set[str] = set()
-        candidates: set[str] = set()
-        examined = 0
-        with quiet_recording():
-            for shard in fanned:
-                sub = self._shards[shard].within_distance(
-                    center, radius, t, stats, where, class_name
-                )
-                may |= sub.may
-                must |= sub.must
-                candidates |= sub.candidates
-                examined += sub.examined
-            stationary = self._stationary_db.within_distance(
-                center, radius, t, None, where, class_name
-            )
-        may |= stationary.may
-        must |= stationary.must
-        examined += stationary.examined
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(candidates),
-        )
-        self._publish_fanout("within", len(fanned))
         rec = get_recorder()
         if rec.enabled:
             rec.record_query(
@@ -554,60 +510,15 @@ class ShardedDatabase:
                                   class_name: str | None = None) -> RangeAnswer:
         """Proximity query: anchor from its owner, candidates fanned."""
         self._check_query_time(t)
-        if radius < 0:
-            raise QueryError(f"radius must be nonnegative, got {radius}")
+        check_radius(radius)
         self._check_index_coverage(t)
-        anchor = self.record(anchor_id)
-        anchor_route = self.routes.get(anchor.attribute.route_id)
-        anchor_interval = anchor.uncertainty(anchor_route, t)
-        bbox = anchor_interval.geometry(anchor_route).bounding_rect()
-        window = bbox.expanded(radius)
-        fanned = self.shards_for_window(window)
-        may: set[str] = set()
-        must: set[str] = set()
-        merged_candidates: set[str] = set()
-        examined = 0
-        for shard in fanned:
-            db = self._shards[shard]
-            found = db._candidates(window, t, None)
-            found = set(db._filter_candidates(found, where, class_name))
-            found.discard(anchor_id)
-            for object_id in found:
-                record = db._records[object_id]
-                route = self.routes.get(record.attribute.route_id)
-                interval = record.uncertainty(route, t)
-                minimum, maximum = distance_range_between_intervals(
-                    anchor_interval, anchor_route, interval, route
-                )
-                if minimum > radius:
-                    continue
-                may.add(object_id)
-                if maximum <= radius:
-                    must.add(object_id)
-            merged_candidates |= found
-            examined += len(found)
-        stat_db = self._stationary_db
-        for object_id in stat_db._filter_candidates(
-            stat_db.stationary_id_set(), where, class_name
-        ):
-            examined += 1
-            point = stat_db._stationary[object_id][1]
-            minimum, maximum = distance_range_to_interval(
-                point, anchor_interval, anchor_route
-            )
-            if minimum > radius:
-                continue
-            may.add(object_id)
-            if maximum <= radius:
-                must.add(object_id)
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(merged_candidates),
+        owner = self._shards[self.owner_of(anchor_id)]
+        anchor, window = owner._proximity_anchor(anchor_id, radius, t)
+        answer = self._fan_out(
+            "proximity", window, None,
+            lambda db, _: db._proximity_piece(anchor_id, anchor, window,
+                                              radius, t, where, class_name),
         )
-        self._publish_fanout("proximity", len(fanned))
         rec = get_recorder()
         if rec.enabled:
             rec.record_query(
@@ -617,48 +528,31 @@ class ShardedDatabase:
             )
         return answer
 
+    def _fan_out(self, kind: str, window: Rect2D, stats: SearchStats | None,
+                 ask: PieceQuery) -> RangeAnswer:
+        """Ask every shard covering ``window`` plus the stationary store.
+
+        The inner databases run quietly; ``stats`` accumulates the
+        shards' index work (the stationary store has no index).
+        """
+        fanned = self.shards_for_window(window)
+        answer: RangeAnswer | None = None
+        with quiet_recording():
+            for shard in fanned:
+                answer = _merge_range(answer, ask(self._shards[shard], stats))
+            answer = _merge_range(answer, ask(self._stationary_db, None))
+        self._publish_fanout(kind, len(fanned))
+        return answer
+
     def nearest(self, center: Point, k: int, t: float,
                 where: dict[str, Any] | None = None,
                 class_name: str | None = None) -> list[NearestAnswer]:
         """k-nearest across all shards (distance order defeats pruning)."""
         self._check_query_time(t)
-        if k < 1:
-            raise QueryError(f"k must be positive, got {k}")
         entries: list[NearestAnswer] = []
-        for db in self._shards:
-            candidates = db._filter_candidates(
-                set(db._records), where, class_name
-            )
-            for object_id in candidates:
-                record = db._records[object_id]
-                route = self.routes.get(record.attribute.route_id)
-                interval = record.uncertainty(route, t)
-                minimum, maximum = distance_range_to_interval(
-                    center, interval, route
-                )
-                entries.append(NearestAnswer(object_id, minimum, maximum))
-        stat_db = self._stationary_db
-        for object_id in stat_db._filter_candidates(
-            stat_db.stationary_id_set(), where, class_name
-        ):
-            distance = stat_db._stationary[object_id][1].distance_to(center)
-            entries.append(NearestAnswer(object_id, distance, distance))
-        entries.sort(key=lambda e: (e.min_distance, e.object_id))
-        top = entries[:k]
-        results: list[NearestAnswer] = []
-        for rank, entry in enumerate(top):
-            later_minimum = min(
-                (other.min_distance for other in entries[rank + 1:]),
-                default=float("inf"),
-            )
-            results.append(
-                NearestAnswer(
-                    object_id=entry.object_id,
-                    min_distance=entry.min_distance,
-                    max_distance=entry.max_distance,
-                    certain=entry.max_distance <= later_minimum,
-                )
-            )
+        for db in (*self._shards, self._stationary_db):
+            entries.extend(db._nearest_entries(center, t, where, class_name))
+        results = rank_nearest(entries, k)
         self._publish_fanout("nearest", self.num_shards)
         rec = get_recorder()
         if rec.enabled:

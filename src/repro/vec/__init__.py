@@ -12,44 +12,15 @@ NumPy while keeping the scalar code the source of truth:
   (Propositions 2-4) over arrays of candidates, mirroring the closures
   of :mod:`repro.core.bounds`.
 * :mod:`repro.vec.geom` batches the bbox min/max-distance pre-tests of
-  the batch query engine.
+  the query kernel.
 
-The submodules import :mod:`numpy` directly and therefore fail to
-import when it is absent; callers (``repro.exec.executor``,
-``repro.dbms.batch``) guard those imports and fall back to the scalar
-path, so the package itself stays importable everywhere.  The helpers
-here are dependency-free on purpose.
-
-Vectorization can be disabled globally with ``REPRO_VECTORIZE=0`` —
-every dispatcher consults :func:`vectorization_default` when its
-``vectorize`` argument is left at ``None``.
+NumPy is a hard dependency.  The callers choose between array and
+scalar code from their inputs alone: :mod:`repro.exec.executor`
+dispatches trip blocks of at least ``_MIN_VEC_TRIPS`` trips to the
+engine, and the single may/must query kernel in
+:mod:`repro.dbms.batch` — which every query route refines through —
+uses the bounds and geometry kernels for at least
+``_MIN_VEC_CANDIDATES`` candidates.
 """
 
-from __future__ import annotations
-
-import os
-
-
-def numpy_available() -> bool:
-    """Whether :mod:`numpy` can be imported in this interpreter."""
-    try:
-        import numpy  # noqa: F401  (availability probe)
-    except ImportError:  # pragma: no cover - exercised on minimal installs
-        return False
-    return True
-
-
-def vectorization_default() -> bool:
-    """The process-wide default for ``vectorize=None`` dispatchers.
-
-    ``REPRO_VECTORIZE=0`` forces every array-dispatching call site back
-    onto the scalar path; any other value (or no value) leaves the
-    vectorized kernels enabled wherever numpy is importable.
-    """
-    return os.environ.get("REPRO_VECTORIZE", "1") != "0"
-
-
-__all__ = [
-    "numpy_available",
-    "vectorization_default",
-]
+__all__: list[str] = []

@@ -1,10 +1,12 @@
 """The executor's vectorized dispatch is invisible in the results.
 
-A sweep run with vectorization on must equal the scalar run cell for
-cell, serially and across worker counts, and the dispatch gate must
-actually route eligible cells through the batch engine (and only
-eligible ones).
+A sweep run through the vectorized engine must equal the scalar run
+(dispatch floor raised out of reach) cell for cell, serially and
+across worker counts, and the dispatch gate must actually route
+eligible cells through the batch engine (and only eligible ones).
 """
+
+import math
 
 import pytest
 
@@ -27,23 +29,30 @@ def small_spec(**overrides) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+def scalar_run(monkeypatch, spec):
+    """``spec`` run with the dispatch floor out of reach (all scalar)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(executor_module, "_MIN_VEC_TRIPS", math.inf)
+        return SweepExecutor(jobs=1).run(spec)
+
+
 @pytest.fixture
 def vec_gate(monkeypatch):
     """Lower the dispatch floor so small test sweeps vectorize."""
     monkeypatch.setattr(executor_module, "_MIN_VEC_TRIPS", 2)
 
 
-def test_vectorized_serial_run_equals_scalar(vec_gate):
+def test_vectorized_serial_run_equals_scalar(vec_gate, monkeypatch):
     spec = small_spec()
-    scalar = SweepExecutor(jobs=1, vectorize=False).run(spec)
-    vec = SweepExecutor(jobs=1, vectorize=True).run(spec)
+    scalar = scalar_run(monkeypatch, spec)
+    vec = SweepExecutor(jobs=1).run(spec)
     assert vec == scalar
 
 
 def test_vectorized_parallel_run_equals_serial(vec_gate):
     spec = small_spec()
-    serial = SweepExecutor(jobs=1, vectorize=True).run(spec)
-    parallel = SweepExecutor(jobs=4, vectorize=True).run(spec)
+    serial = SweepExecutor(jobs=1).run(spec)
+    parallel = SweepExecutor(jobs=4).run(spec)
     assert parallel == serial
 
 
@@ -57,9 +66,9 @@ def test_vectorized_dispatch_actually_engages(vec_gate, monkeypatch):
 
     monkeypatch.setattr(executor_module, "_simulate_cell", spy)
     spec = small_spec()
-    SweepExecutor(jobs=1, vectorize=True).run(spec)
+    SweepExecutor(jobs=1).run(spec)
     assert calls == []  # every cell went through the batch engine
-    SweepExecutor(jobs=1, vectorize=False).run(spec)
+    scalar_run(monkeypatch, spec)
     assert len(calls) == 3 * 2 * 6
 
 
@@ -73,20 +82,9 @@ def test_dispatch_floor_falls_back_to_scalar(monkeypatch):
 
     monkeypatch.setattr(executor_module, "_simulate_cell", spy)
     spec = small_spec(num_curves=2)  # below _MIN_VEC_TRIPS
-    scalar = SweepExecutor(jobs=1, vectorize=False).run(spec)
+    scalar = scalar_run(monkeypatch, spec)
     calls.clear()
-    vec = SweepExecutor(jobs=1, vectorize=True).run(spec)
+    vec = SweepExecutor(jobs=1).run(spec)
     assert vec == scalar
     assert len(calls) == 3 * 2 * 2  # every cell stayed scalar
 
-
-def test_environment_default_disables_vectorization(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    assert SweepExecutor(jobs=1).vectorize is False
-    monkeypatch.delenv("REPRO_VECTORIZE")
-    assert SweepExecutor(jobs=1).vectorize is True
-
-
-def test_explicit_flag_overrides_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    assert SweepExecutor(jobs=1, vectorize=True).vectorize is True

@@ -1,10 +1,13 @@
-"""Vectorized batch-query path: same answers, same cache accounting.
+"""Vectorized query kernel: same answers, same cache accounting.
 
-``BatchQueryEngine(vectorize=True)`` must return exactly the answers
-of the scalar batch engine (which are themselves byte-identical to the
-sequential database calls) and count exactly the same cache hits and
+With the vectorization floor lowered so every query takes the array
+kernels, the batch engine must return exactly the answers of the
+scalar kernel (floor raised out of reach) and of the scalar
+sequential database calls, and count exactly the same cache hits and
 misses, across policies, filters, repeat runs, and position updates.
 """
+
+import math
 
 import pytest
 
@@ -29,35 +32,38 @@ def low_floor(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_vectorized_answers_match_scalar_and_sequential(seed, low_floor):
-    database, network, object_ids = build_database(
-        TimeSpaceIndex(slab_minutes=5.0), seed=seed
-    )
-    queries = build_workload(network, object_ids, seed=seed + 50)
-    expected = sequential(database, queries)
+def test_vectorized_answers_match_scalar_and_sequential(seed, low_floor,
+                                                        monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_module, "_MIN_VEC_CANDIDATES", math.inf)
+        database, network, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0), seed=seed
+        )
+        queries = build_workload(network, object_ids, seed=seed + 50)
+        expected = sequential(database, queries)
+        scalar_db, _, _ = build_database(
+            TimeSpaceIndex(slab_minutes=5.0), seed=seed
+        )
+        scalar = BatchQueryEngine(scalar_db)
+        assert scalar.run(list(queries)) == expected
 
-    scalar_db, _, _ = build_database(
-        TimeSpaceIndex(slab_minutes=5.0), seed=seed
-    )
-    scalar = BatchQueryEngine(scalar_db, vectorize=False)
     vec_db, _, _ = build_database(
         TimeSpaceIndex(slab_minutes=5.0), seed=seed
     )
-    vec = BatchQueryEngine(vec_db, vectorize=True)
-    assert vec.vectorize
-
-    assert scalar.run(list(queries)) == expected
+    vec = BatchQueryEngine(vec_db)
     assert vec.run(list(queries)) == expected
+    assert sequential(vec_db, queries) == expected
     assert counters(vec) == counters(scalar)
 
 
-def test_cache_reuse_and_invalidation_match_scalar(low_floor):
+def test_cache_reuse_and_invalidation_match_scalar(monkeypatch):
     engines = []
-    for vectorize in (False, True):
+    for floor in (math.inf, 1):
+        monkeypatch.setattr(batch_module, "_MIN_VEC_CANDIDATES", floor)
         database, network, object_ids = build_database(
             TimeSpaceIndex(slab_minutes=5.0)
         )
-        engine = BatchQueryEngine(database, vectorize=vectorize)
+        engine = BatchQueryEngine(database)
         queries = build_workload(network, object_ids)
         first = engine.run(list(queries))
         # Re-running hits the generation-keyed cache ...
@@ -76,11 +82,3 @@ def test_cache_reuse_and_invalidation_match_scalar(low_floor):
         engines.append((first, second, third, counters(engine)))
     assert engines[0] == engines[1]
 
-
-def test_vectorize_flag_defaults_to_environment(monkeypatch):
-    database, _, _ = build_database(None)
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    assert BatchQueryEngine(database).vectorize is False
-    monkeypatch.delenv("REPRO_VECTORIZE")
-    assert BatchQueryEngine(database).vectorize is True
-    assert BatchQueryEngine(database, vectorize=False).vectorize is False

@@ -1,11 +1,12 @@
 """Record -> replay byte-identity through the vectorized query path.
 
-A workload recorded while the vectorized engine answers queries must
+A workload recorded while the vectorized kernel answers queries must
 produce the exact event stream of a scalar recording (same answer
 digests, same cache event), and must replay cleanly in every mode.
 """
 
 import io
+import math
 
 import pytest
 
@@ -26,13 +27,13 @@ from repro.trace.replay import MODES, TraceReplayer
 from tests.dbms.test_batch import build_database, build_workload
 
 
-def record_batch_session(vectorize):
+def record_batch_session():
     with use_recorder(TraceRecorder(meta={"suite": "vec-trace"})) as rec:
         database, network, object_ids = build_database(
             TimeSpaceIndex(slab_minutes=5.0)
         )
         queries = build_workload(network, object_ids, count=30)
-        BatchQueryEngine(database, vectorize=vectorize).run(queries)
+        BatchQueryEngine(database).run(queries)
         record_index_digest(database)
     return rec
 
@@ -48,16 +49,18 @@ def low_floor(monkeypatch):
     monkeypatch.setattr(batch_module, "_MIN_VEC_CANDIDATES", 1)
 
 
-def test_vectorized_recording_matches_scalar_stream(low_floor):
-    scalar = dump_events(record_batch_session(False))
-    vec = dump_events(record_batch_session(True))
+def test_vectorized_recording_matches_scalar_stream(low_floor, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_module, "_MIN_VEC_CANDIDATES", math.inf)
+        scalar = dump_events(record_batch_session())
+    vec = dump_events(record_batch_session())
     assert [(e.kind, e.data) for e in vec] \
         == [(e.kind, e.data) for e in scalar]
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_vectorized_recording_replays_in_every_mode(mode, low_floor):
-    events = dump_events(record_batch_session(True))
+    events = dump_events(record_batch_session())
     report = TraceReplayer(mode=mode).replay(events)
     assert report.ok, report.mismatches[:3]
     assert report.queries_checked >= 30
