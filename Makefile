@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-harness report report-fast examples clean
+.PHONY: install test lint bench bench-harness bench-e2e report report-fast examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -31,6 +31,22 @@ bench:
 
 bench-harness:
 	PYTHONPATH=src $(PYTHON) -m repro bench run --fast
+
+# End-to-end benchmark (perfbench/): the four workloads untraced, then
+# one traced taxi-pipeline run for the per-layer split.  Run it on the
+# parent and on the change for a perf PR's before and after figures.
+SEED ?= 7
+E2E_WORKLOADS = taxi-pipeline taxi-serve trucking-live policy-sweep
+
+bench-e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		echo "=== $$w (seed $(SEED)) ==="; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed $(SEED) \
+			--seconds 4 --trace 0 || exit 1; \
+	done
+	@echo "=== taxi-pipeline traced (seed $(SEED)) ==="
+	$(PYTHON) perfbench/run.py --workload taxi-pipeline --seed $(SEED) \
+		--seconds 4 --trace 1
 
 report:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.runner

@@ -673,6 +673,27 @@ def _cmd_bench_list(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+def _check_bench_outputs(args: argparse.Namespace) -> None:
+    """Refuse result paths that cannot be written, before any case runs."""
+    from pathlib import Path
+
+    from repro.bench import BenchmarkError
+
+    if args.json_out is not None:
+        target = Path(args.json_out)
+        if target.is_dir():
+            raise BenchmarkError(f"--json-out {target} is a directory, "
+                                 f"not a file")
+        if target.parent.exists() and not target.parent.is_dir():
+            raise BenchmarkError(f"--json-out {target}: {target.parent} "
+                                 f"is not a directory")
+    if args.artifacts_dir is not None:
+        directory = Path(args.artifacts_dir)
+        if directory.exists() and not directory.is_dir():
+            raise BenchmarkError(f"--artifacts-dir {directory} is not a "
+                                 f"directory")
+
+
 def _cmd_bench_run(args: argparse.Namespace, out: TextIO) -> int:
     from pathlib import Path
 
@@ -686,6 +707,7 @@ def _cmd_bench_run(args: argparse.Namespace, out: TextIO) -> int:
         write_results,
     )
 
+    _check_bench_outputs(args)
     cases = _bench_cases(args)
     if not cases:
         print("error: no registered benchmarks matched", file=sys.stderr)

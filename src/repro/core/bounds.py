@@ -63,6 +63,21 @@ def _check_elapsed(t: float) -> None:
         raise PolicyError(f"elapsed time must be nonnegative, got {t}")
 
 
+def _kinks(*times: float) -> tuple[float, ...]:
+    """The finite positive branch-switch times, sorted."""
+    return tuple(sorted({t for t in times if 0.0 < t < math.inf}))
+
+
+def _crossing(cap: float, rate: float) -> float:
+    """Where ``rate * t`` reaches a constant ``cap`` (inf if never)."""
+    return cap / rate if rate > 0 else math.inf
+
+
+def _decay_crossing(update_cost: float, rate: float) -> float:
+    """Where ``rate * t`` meets ``2C / t`` (inf if never)."""
+    return math.sqrt(2.0 * update_cost / rate) if rate > 0 else math.inf
+
+
 class DeviationBounds:
     """Slow/fast/total deviation bounds as functions of elapsed time.
 
@@ -70,15 +85,25 @@ class DeviationBounds:
     database position ``t`` time units after the last update; ``fast(t)``
     bounds how far it can lead; ``total(t)`` bounds the deviation
     regardless of direction and equals ``max(slow, fast)``.
+
+    ``kinks`` lists the elapsed times where ``slow`` or ``fast``
+    switches branch.  Every constructor in this module fills it in:
+    between two kinks each of its bounds is a constant, ``rate * t``,
+    or ``2C / t``, so ``v t - slow(t)`` is linear or concave and
+    ``v t + fast(t)`` linear or convex there, and their extremes over
+    any time span lie at the span's ends or at a kink inside it (the
+    o-plane envelope relies on this).  Custom bounds leave it empty.
     """
 
-    __slots__ = ("_slow", "_fast", "policy_name")
+    __slots__ = ("_slow", "_fast", "policy_name", "kinks")
 
     def __init__(self, slow: BoundFunction, fast: BoundFunction,
-                 policy_name: str = "custom") -> None:
+                 policy_name: str = "custom",
+                 kinks: tuple[float, ...] = ()) -> None:
         self._slow = slow
         self._fast = fast
         self.policy_name = policy_name
+        self.kinks = kinks
 
     def slow(self, t: float) -> float:
         """Bound on the slow deviation at elapsed time ``t``."""
@@ -107,14 +132,17 @@ def delayed_linear_bounds(declared_speed: float, max_speed: float,
         raise PolicyError(f"update cost must be nonnegative, got {update_cost}")
     v = declared_speed
     gap = max(max_speed - declared_speed, 0.0)
+    slow_cap = math.sqrt(2.0 * v * update_cost)
+    fast_cap = math.sqrt(2.0 * gap * update_cost)
 
     def slow(t: float) -> float:
-        return min(math.sqrt(2.0 * v * update_cost), v * t)
+        return min(slow_cap, v * t)
 
     def fast(t: float) -> float:
-        return min(math.sqrt(2.0 * gap * update_cost), gap * t)
+        return min(fast_cap, gap * t)
 
-    return DeviationBounds(slow, fast, policy_name="dl")
+    kinks = _kinks(_crossing(slow_cap, v), _crossing(fast_cap, gap))
+    return DeviationBounds(slow, fast, policy_name="dl", kinks=kinks)
 
 
 def immediate_linear_bounds(declared_speed: float, max_speed: float,
@@ -140,7 +168,9 @@ def immediate_linear_bounds(declared_speed: float, max_speed: float,
     def fast(t: float) -> float:
         return min(threshold_cap(t), gap * t)
 
-    return DeviationBounds(slow, fast, policy_name="immediate")
+    kinks = _kinks(_decay_crossing(update_cost, v),
+                   _decay_crossing(update_cost, gap))
+    return DeviationBounds(slow, fast, policy_name="immediate", kinks=kinks)
 
 
 def fixed_threshold_bounds(declared_speed: float, max_speed: float,
@@ -162,7 +192,9 @@ def fixed_threshold_bounds(declared_speed: float, max_speed: float,
     def fast(t: float) -> float:
         return min(bound, gap * t)
 
-    return DeviationBounds(slow, fast, policy_name="fixed-threshold")
+    kinks = _kinks(_crossing(bound, v), _crossing(bound, gap))
+    return DeviationBounds(slow, fast, policy_name="fixed-threshold",
+                           kinks=kinks)
 
 
 def traditional_bounds(max_speed: float, precision: float) -> DeviationBounds:
@@ -183,7 +215,8 @@ def traditional_bounds(max_speed: float, precision: float) -> DeviationBounds:
     def fast(t: float) -> float:
         return min(precision, max_speed * t)
 
-    return DeviationBounds(slow, fast, policy_name="traditional")
+    return DeviationBounds(slow, fast, policy_name="traditional",
+                           kinks=_kinks(_crossing(precision, max_speed)))
 
 
 def periodic_bounds(declared_speed: float, max_speed: float) -> DeviationBounds:
@@ -220,7 +253,8 @@ def horizon_cost_bounds(declared_speed: float, max_speed: float,
         return DeviationBounds(lambda t: 0.0, lambda t: 0.0,
                                policy_name="horizon")
     bounds = fixed_threshold_bounds(declared_speed, max_speed, trigger)
-    return DeviationBounds(bounds.slow, bounds.fast, policy_name="horizon")
+    return DeviationBounds(bounds.slow, bounds.fast, policy_name="horizon",
+                           kinks=bounds.kinks)
 
 
 def bounds_for_policy(policy: UpdatePolicy, declared_speed: float,

@@ -81,16 +81,37 @@ class OPlane:
                      samples: int = 4) -> tuple[float, float]:
         """Conservative travel-distance range over an elapsed-time span.
 
-        ``l`` and ``u`` are piecewise-smooth with at most one interior
-        kink per slab (where a bound's min switches branch), so endpoint
-        plus interior sampling with a small envelope margin is a sound
-        over-approximation for the slab widths used here.
+        ``l`` and ``u`` are sampled at ``samples + 1`` evenly spaced
+        times and widened by a margin of one sample step of centre
+        drift.  Sampling alone can miss a peak of ``u`` between samples
+        (Proposition 4's fast bound peaks where ``2C/t`` meets the
+        ``(V-v) t`` branch, and for a slow or stopped object the margin
+        is small or zero), so ``l`` and ``u`` are also evaluated at every
+        kink of the bounds inside the span.  For bounds that list their
+        kinks (all built-in policies, see
+        :class:`~repro.core.bounds.DeviationBounds`) the extremes of
+        ``l`` and ``u`` lie at the span's ends or at those kinks, so the
+        range is conservative by construction.  A property test checks
+        it over generated staircase routes, both directions, dl/ail/cil
+        bounds (stopped objects included) and slab widths of 0.25-30
+        minutes.
         """
         if elapsed_hi < elapsed_lo:
             raise IndexError_("elapsed_hi must be >= elapsed_lo")
-        start_travel = self.route.travel_distance_of(
+        return self._travel_range(
+            self._start_travel(), elapsed_lo, elapsed_hi, samples
+        )
+
+    def _start_travel(self) -> float:
+        """Travel distance of the start point (a projection onto the
+        whole route polyline, so callers compute it once per plane)."""
+        return self.route.travel_distance_of(
             self.attribute.start_point, self.attribute.direction
         )
+
+    def _travel_range(self, start_travel: float, elapsed_lo: float,
+                      elapsed_hi: float, samples: int = 4) -> tuple[float, float]:
+        """:meth:`travel_range` from a precomputed start travel distance."""
         v = self.attribute.speed
         lows: list[float] = []
         highs: list[float] = []
@@ -99,15 +120,19 @@ class OPlane:
             center = start_travel + v * elapsed
             lows.append(center - self.bounds.slow(elapsed))
             highs.append(center + self.bounds.fast(elapsed))
-        # Envelope margin: within a slab each curve moves at most at the
-        # maximum slope between samples; v covers the centre drift and the
-        # bound slopes are at most v (slow) / declared-gap (fast), both
-        # bounded by the per-sample drift of the sampled extremes.  A
-        # half-sample of centre drift is a safe cushion for the slabs and
-        # sample counts used by the index.
+        # The margin (one sample step of centre drift) is not needed for
+        # soundness, which the kinks below give; dropping it would shrink
+        # every stored box and so change recorded index digests.
         margin = v * (elapsed_hi - elapsed_lo) / max(samples, 1)
-        lo = max(min(lows) - margin, 0.0)
-        hi = min(max(highs) + margin, self.route.length)
+        lo = min(lows) - margin
+        hi = max(highs) + margin
+        for kink in self.bounds.kinks:
+            if elapsed_lo < kink < elapsed_hi:
+                center = start_travel + v * kink
+                lo = min(lo, center - self.bounds.slow(kink))
+                hi = max(hi, center + self.bounds.fast(kink))
+        lo = max(lo, 0.0)
+        hi = min(hi, self.route.length)
         if lo > hi:
             lo = hi
         return lo, hi
@@ -117,10 +142,15 @@ class OPlane:
         if slab_minutes <= 0:
             raise IndexError_(f"slab_minutes must be positive, got {slab_minutes}")
         boxes: list[Box3D] = []
+        start_travel = self._start_travel()
         elapsed = 0.0
         while elapsed < self.horizon - 1e-12:
-            slab_end = min(elapsed + slab_minutes, self.horizon)
-            lo, hi = self.travel_range(elapsed, slab_end)
+            slab_end = elapsed + slab_minutes
+            if slab_end >= self.horizon - 1e-12:
+                # The last slab ends at the horizon itself, even when
+                # the slab widths add up to a hair short of it.
+                slab_end = self.horizon
+            lo, hi = self._travel_range(start_travel, elapsed, slab_end)
             strip = self.route.interval_polyline(
                 lo, hi, self.attribute.direction
             )

@@ -36,9 +36,62 @@ from repro.obs.registry import get_registry
 _MARGIN_WEIGHT = 1e-6
 
 
-def _measure(box: Box3D) -> float:
-    """Size surrogate robust to volume-degenerate boxes."""
-    return box.volume + _MARGIN_WEIGHT * box.margin
+def _measure(box: "Box3D | _Cover") -> float:
+    """Size surrogate robust to volume-degenerate boxes.
+
+    The float expression of ``box.volume + _MARGIN_WEIGHT *
+    box.margin``, evaluated from the coordinates.
+    """
+    dx = box.max_x - box.min_x
+    dy = box.max_y - box.min_y
+    dt = box.max_t - box.min_t
+    return dx * dy * dt + _MARGIN_WEIGHT * (dx + dy + dt)
+
+
+def _union_measure(a: "Box3D | _Cover", b: Box3D) -> float:
+    """``_measure(a.union(b))`` without building the union box.
+
+    Each conditional picks what ``max(a_, b_)``/``min(a_, b_)`` would.
+    """
+    a_lo, b_lo, a_hi, b_hi = a.min_x, b.min_x, a.max_x, b.max_x
+    dx = (b_hi if b_hi > a_hi else a_hi) - (b_lo if b_lo < a_lo else a_lo)
+    a_lo, b_lo, a_hi, b_hi = a.min_y, b.min_y, a.max_y, b.max_y
+    dy = (b_hi if b_hi > a_hi else a_hi) - (b_lo if b_lo < a_lo else a_lo)
+    a_lo, b_lo, a_hi, b_hi = a.min_t, b.min_t, a.max_t, b.max_t
+    dt = (b_hi if b_hi > a_hi else a_hi) - (b_lo if b_lo < a_lo else a_lo)
+    return dx * dy * dt + _MARGIN_WEIGHT * (dx + dy + dt)
+
+
+class _Cover:
+    """A running union of boxes, grown in place.
+
+    ``add`` keeps ``min``/``max``'s tie rule (the earlier value wins),
+    so the cover of a list equals chaining :meth:`Box3D.union` over it.
+    """
+
+    __slots__ = ("min_x", "min_y", "min_t", "max_x", "max_y", "max_t")
+
+    def __init__(self, box: Box3D) -> None:
+        self.min_x, self.min_y, self.min_t = box.min_x, box.min_y, box.min_t
+        self.max_x, self.max_y, self.max_t = box.max_x, box.max_y, box.max_t
+
+    def add(self, box: Box3D) -> None:
+        if box.min_x < self.min_x:
+            self.min_x = box.min_x
+        if box.min_y < self.min_y:
+            self.min_y = box.min_y
+        if box.min_t < self.min_t:
+            self.min_t = box.min_t
+        if box.max_x > self.max_x:
+            self.max_x = box.max_x
+        if box.max_y > self.max_y:
+            self.max_y = box.max_y
+        if box.max_t > self.max_t:
+            self.max_t = box.max_t
+
+    def box(self) -> Box3D:
+        return Box3D(self.min_x, self.min_y, self.min_t,
+                     self.max_x, self.max_y, self.max_t)
 
 
 @dataclass(slots=True)
@@ -59,10 +112,11 @@ class _Node:
     def bounding_box(self) -> Box3D:
         if not self.entries:
             raise IndexError_("empty node has no bounding box")
-        box = self.entries[0].box
-        for entry in self.entries[1:]:
-            box = box.union(entry.box)
-        return box
+        entries = iter(self.entries)
+        cover = _Cover(next(entries).box)
+        for entry in entries:
+            cover.add(entry.box)
+        return cover.box()
 
 
 @dataclass(slots=True)
@@ -236,14 +290,18 @@ class RTree:
 
     def _choose_leaf(self, node: _Node, box: Box3D) -> _Node:
         while not node.is_leaf:
+            # Least enlargement, ties broken by the smaller measure.
             best: _Entry | None = None
-            best_key: tuple[float, float] | None = None
+            best_enlargement = best_measure = 0.0
             for entry in node.entries:
-                enlargement = _measure(entry.box.union(box)) - _measure(entry.box)
-                key = (enlargement, _measure(entry.box))
-                if best_key is None or key < best_key:
-                    best_key = key
+                measure = _measure(entry.box)
+                enlargement = _union_measure(entry.box, box) - measure
+                if (best is None or enlargement < best_enlargement
+                        or (enlargement == best_enlargement
+                            and measure < best_measure)):
                     best = entry
+                    best_enlargement = enlargement
+                    best_measure = measure
             assert best is not None and best.child is not None
             node = best.child
         return node
@@ -276,8 +334,8 @@ class RTree:
         seed_a, seed_b = self._pick_seeds(entries)
         group_a = [entries[seed_a]]
         group_b = [entries[seed_b]]
-        box_a = group_a[0].box
-        box_b = group_b[0].box
+        cover_a = _Cover(group_a[0].box)
+        cover_b = _Cover(group_b[0].box)
         remaining = [
             e for i, e in enumerate(entries) if i not in (seed_a, seed_b)
         ]
@@ -288,24 +346,18 @@ class RTree:
             needed_b = self.min_entries - len(group_b)
             if needed_a >= len(remaining):
                 group_a.extend(remaining)
-                for entry in remaining:
-                    box_a = box_a.union(entry.box)
-                remaining = []
                 break
             if needed_b >= len(remaining):
                 group_b.extend(remaining)
-                for entry in remaining:
-                    box_b = box_b.union(entry.box)
-                remaining = []
                 break
-            index, prefer_a = self._pick_next(remaining, box_a, box_b)
+            index, prefer_a = self._pick_next(remaining, cover_a, cover_b)
             entry = remaining.pop(index)
             if prefer_a:
                 group_a.append(entry)
-                box_a = box_a.union(entry.box)
+                cover_a.add(entry.box)
             else:
                 group_b.append(entry)
-                box_b = box_b.union(entry.box)
+                cover_b.add(entry.box)
         node.entries = group_a
         sibling = _Node(is_leaf=node.is_leaf, entries=group_b)
         if not sibling.is_leaf:
@@ -319,13 +371,14 @@ class RTree:
         """The pair wasting the most space when grouped together."""
         worst_pair = (0, 1)
         worst_waste = float("-inf")
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                combined = entries[i].box.union(entries[j].box)
+        boxes = [entry.box for entry in entries]
+        measures = [_measure(box) for box in boxes]
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
                 waste = (
-                    _measure(combined)
-                    - _measure(entries[i].box)
-                    - _measure(entries[j].box)
+                    _union_measure(boxes[i], boxes[j])
+                    - measures[i]
+                    - measures[j]
                 )
                 if waste > worst_waste:
                     worst_waste = waste
@@ -333,15 +386,17 @@ class RTree:
         return worst_pair
 
     @staticmethod
-    def _pick_next(remaining: list[_Entry], box_a: Box3D,
-                   box_b: Box3D) -> tuple[int, bool]:
+    def _pick_next(remaining: list[_Entry], cover_a: _Cover,
+                   cover_b: _Cover) -> tuple[int, bool]:
         """The entry with the strongest group preference, and that group."""
         best_index = 0
         best_difference = -1.0
         best_prefer_a = True
+        measure_a = _measure(cover_a)
+        measure_b = _measure(cover_b)
         for i, entry in enumerate(remaining):
-            growth_a = _measure(box_a.union(entry.box)) - _measure(box_a)
-            growth_b = _measure(box_b.union(entry.box)) - _measure(box_b)
+            growth_a = _union_measure(cover_a, entry.box) - measure_a
+            growth_b = _union_measure(cover_b, entry.box) - measure_b
             difference = abs(growth_a - growth_b)
             if difference > best_difference:
                 best_difference = difference
@@ -350,13 +405,20 @@ class RTree:
         return best_index, best_prefer_a
 
     def _refresh_parent_boxes(self, node: _Node) -> None:
-        """Recompute covering boxes on the path from ``node`` to the root."""
+        """Recompute covering boxes on the path from ``node`` to the root.
+
+        Covering boxes are kept tight, so once a recomputed box equals
+        the stored one, every box above it is already right.
+        """
         child = node
         parent = node.parent
         while parent is not None:
             for entry in parent.entries:
                 if entry.child is child:
-                    entry.box = child.bounding_box()
+                    box = child.bounding_box()
+                    if box == entry.box:
+                        return
+                    entry.box = box
                     break
             child = parent
             parent = parent.parent
@@ -528,22 +590,52 @@ class RTree:
         Returns True when an entry was removed, False when no exact
         match exists.
         """
-        leaf = self._find_leaf(self._root, box, payload)
-        if leaf is None:
-            return False
-        for i, entry in enumerate(leaf.entries):
-            if entry.payload == payload and entry.box == box:
-                del leaf.entries[i]
-                break
-        self._size -= 1
-        self._condense_tree(leaf)
-        return True
+        return self.delete_many([box], payload) == 1
+
+    def delete_many(self, boxes: list[Box3D], payload: Hashable) -> int:
+        """Remove one leaf entry matching ``(box, payload)`` exactly for
+        each box of ``boxes``; returns the count removed.
+
+        This is the operation the time-space index uses to drop an old
+        o-plane: one guided walk finds every match, all of them leave
+        the tree, and only then is it condensed, so no entry of
+        ``payload`` is reinserted as an orphan only to be removed again.
+        """
+        wanted: dict[Box3D, int] = {}
+        for box in boxes:
+            wanted[box] = wanted.get(box, 0) + 1
+        matches: list[tuple[_Node, _Entry]] = []
+        # Depth-first in entry order; a subtree is entered only when its
+        # covering box contains a box still sought under it.
+        stack: list[tuple[_Node, list[Box3D]]] = [(self._root, list(wanted))]
+        while stack and wanted:
+            node, active = stack.pop()
+            if node.is_leaf:
+                for entry in node.entries:
+                    if entry.payload != payload:
+                        continue
+                    left = wanted.get(entry.box)
+                    if left is None:
+                        continue
+                    matches.append((node, entry))
+                    if left == 1:
+                        del wanted[entry.box]
+                    else:
+                        wanted[entry.box] = left - 1
+                continue
+            for entry in reversed(node.entries):
+                cover = entry.box
+                inside = [box for box in active if cover.contains(box)]
+                if inside:
+                    stack.append((entry.child, inside))  # type: ignore[arg-type]
+        self._remove(matches)
+        return len(matches)
 
     def delete_payload(self, payload: Hashable) -> int:
         """Remove *all* leaf entries carrying ``payload``; returns count.
 
-        This is the operation the time-space index uses to drop an old
-        o-plane (several boxes per object).
+        Like :meth:`delete_many`, every match leaves the tree before it
+        is condensed.
         """
         matches: list[tuple[_Node, _Entry]] = []
         stack = [self._root]
@@ -557,51 +649,51 @@ class RTree:
                 )
             else:
                 stack.extend(e.child for e in node.entries)  # type: ignore[misc]
-        touched: list[_Node] = []
-        for node, entry in matches:
-            node.entries.remove(entry)
-            self._size -= 1
-            touched.append(node)
-        for node in touched:
-            self._condense_tree(node)
+        self._remove(matches)
         return len(matches)
 
-    def _find_leaf(self, node: _Node, box: Box3D,
-                   payload: Hashable) -> _Node | None:
-        if node.is_leaf:
-            for entry in node.entries:
-                if entry.payload == payload and entry.box == box:
-                    return node
-            return None
-        for entry in node.entries:
-            if entry.box.intersects(box):
-                assert entry.child is not None
-                found = self._find_leaf(entry.child, box, payload)
-                if found is not None:
-                    return found
-        return None
+    def _remove(self, matches: list[tuple[_Node, _Entry]]) -> None:
+        """The one removal path: take every matched leaf entry out of
+        its leaf, then condense the touched leaves together."""
+        touched: dict[int, _Node] = {}
+        for leaf, entry in matches:
+            entries = leaf.entries
+            for i, candidate in enumerate(entries):
+                if candidate is entry:
+                    del entries[i]
+                    break
+            touched.setdefault(id(leaf), leaf)
+        self._size -= len(matches)
+        if touched:
+            self._condense(list(touched.values()))
 
-    def _condense_tree(self, node: _Node) -> None:
-        """Guttman's CondenseTree: prune underfull nodes, reinsert orphans."""
+    def _condense(self, leaves: list[_Node]) -> None:
+        """Guttman's CondenseTree over one or more touched leaves.
+
+        Each leaf's path to the root is walked once: underfull nodes
+        are pruned and their entries kept as orphans, the other nodes'
+        covering boxes are refreshed.  The orphans are reinserted only
+        after every path has been condensed.
+        """
         orphans: list[tuple[_Entry, bool]] = []  # (entry, was_leaf_entry)
-        current = node
-        while current.parent is not None:
-            parent = current.parent
-            if len(current.entries) < self.min_entries:
-                for entry in parent.entries:
-                    if entry.child is current:
-                        parent.entries.remove(entry)
-                        break
-                for entry in current.entries:
-                    orphans.append((entry, current.is_leaf))
-                # Detach so a later condense on this node is a no-op
-                # (delete_payload condenses every touched node).
-                current.entries = []
-                current.parent = None
+        for current in leaves:
+            while current.parent is not None:
+                parent = current.parent
+                if len(current.entries) < self.min_entries:
+                    for i, entry in enumerate(parent.entries):
+                        if entry.child is current:
+                            del parent.entries[i]
+                            break
+                    for entry in current.entries:
+                        orphans.append((entry, current.is_leaf))
+                    # Detach so a later path through this node stops
+                    # here and its orphans are not taken twice.
+                    current.entries = []
+                    current.parent = None
+                    current = parent
+                    continue
+                self._refresh_parent_boxes(current)
                 current = parent
-                continue
-            self._refresh_parent_boxes(current)
-            current = parent
         # Shrink the root when it has a single internal child.
         while not self._root.is_leaf and len(self._root.entries) == 1:
             only = self._root.entries[0].child
@@ -672,9 +764,10 @@ class RTree:
     def check_invariants(self) -> None:
         """Validate structural invariants; raises on violation.
 
-        Checks: covering boxes contain children, fill factors respected
-        (except at the root), leaf depth uniform, parent pointers sane,
-        and the size counter matches the leaf-entry count.
+        Checks: each covering box is exactly its child's bounding box
+        (tight, which the covering-box refresh relies on), fill factors
+        respected (except at the root), leaf depth uniform, parent
+        pointers sane, and the size counter matches the leaf-entry count.
         """
         leaf_depths: set[int] = set()
         count = 0
@@ -700,8 +793,10 @@ class RTree:
                     raise IndexError_("internal entry without child")
                 if child.parent is not node:
                     raise IndexError_("broken parent pointer")
-                if not entry.box.contains(child.bounding_box()):
-                    raise IndexError_("covering box does not contain child")
+                if entry.box != child.bounding_box():
+                    raise IndexError_(
+                        "covering box is not its child's bounding box"
+                    )
                 stack.append((child, depth + 1))
         if len(leaf_depths) > 1:
             raise IndexError_(f"leaves at different depths: {leaf_depths}")

@@ -94,7 +94,16 @@ class TimeSpaceIndex:
 
     def insert(self, object_id: str, plane: OPlane) -> int:
         """Index a new object's o-plane; returns the box count."""
-        inserted = self._insert_boxes(object_id, plane)
+        if object_id in self._planes:
+            raise IndexError_(
+                f"object {object_id!r} already indexed; use replace()"
+            )
+        boxes = plane.boxes(self.slab_minutes)
+        for box in boxes:
+            self._tree.insert(box, object_id)
+        self._planes[object_id] = plane
+        self._boxes[object_id] = boxes
+        inserted = len(boxes)
         registry = get_registry()
         if registry.enabled:
             registry.counter(
@@ -107,24 +116,12 @@ class TimeSpaceIndex:
             rec.record(INDEX_INSERT, object_id=object_id, boxes=inserted)
         return inserted
 
-    def _insert_boxes(self, object_id: str, plane: OPlane,
-                      boxes: list[Box3D] | None = None) -> int:
-        """Insert without publishing metrics (replace publishes once)."""
-        if object_id in self._planes:
-            raise IndexError_(
-                f"object {object_id!r} already indexed; use replace()"
-            )
-        if boxes is None:
-            boxes = plane.boxes(self.slab_minutes)
-        for box in boxes:
-            self._tree.insert(box, object_id)
-        self._planes[object_id] = plane
-        self._boxes[object_id] = boxes
-        return len(boxes)
-
     def remove(self, object_id: str) -> int:
         """Drop an object from the index; returns removed box count."""
-        removed = self._remove_boxes(object_id)
+        if object_id not in self._planes:
+            raise IndexError_(f"object {object_id!r} is not indexed")
+        del self._planes[object_id]
+        removed = self._delete_boxes(object_id, self._boxes.pop(object_id))
         registry = get_registry()
         if registry.enabled:
             registry.counter(
@@ -137,16 +134,9 @@ class TimeSpaceIndex:
             rec.record(INDEX_REMOVE, object_id=object_id, boxes=removed)
         return removed
 
-    def _remove_boxes(self, object_id: str) -> int:
-        """Remove without publishing metrics (replace publishes once)."""
-        if object_id not in self._planes:
-            raise IndexError_(f"object {object_id!r} is not indexed")
-        boxes = self._boxes.pop(object_id)
-        del self._planes[object_id]
-        removed = 0
-        for box in boxes:
-            if self._tree.delete(box, object_id):
-                removed += 1
+    def _delete_boxes(self, object_id: str, boxes: list[Box3D]) -> int:
+        """Take an object's boxes out of the R-tree in one pass."""
+        removed = self._tree.delete_many(boxes, object_id)
         if removed != len(boxes):
             raise IndexError_(
                 f"index corruption: expected to remove {len(boxes)} boxes "
@@ -193,8 +183,17 @@ class TimeSpaceIndex:
                 rec.record(INDEX_REPLACE, object_id=object_id,
                            removed=0, inserted=0, skipped=True)
             return IndexMaintenanceStats(boxes_removed=0, boxes_inserted=0)
-        removed = self._remove_boxes(object_id)
-        inserted = self._insert_boxes(object_id, plane, boxes=new_boxes)
+        # New boxes go in before the old ones come out: they mostly land
+        # in the leaves the old ones are about to leave, so fewer leaves
+        # fall under the minimum fill and fewer orphans are reinserted.
+        # Should a new box equal an old one, removing either copy leaves
+        # the same entries.
+        for box in new_boxes:
+            self._tree.insert(box, object_id)
+        removed = self._delete_boxes(object_id, self._boxes[object_id])
+        self._planes[object_id] = plane
+        self._boxes[object_id] = new_boxes
+        inserted = len(new_boxes)
         if registry.enabled:
             registry.counter(
                 "index_boxes_removed_total",

@@ -415,3 +415,26 @@ class TestBench:
     def test_missing_dir_is_an_error(self):
         code, _ = run_cli(["bench", "list", "--dir", "/nonexistent"])
         assert code == 1
+
+    def test_json_out_directory_fails_before_any_case_runs(
+            self, tmp_path, capsys):
+        code, output = self.run_bench(tmp_path, "--json-out", str(tmp_path))
+        assert code == 1
+        assert "running" not in output
+        err = capsys.readouterr().err
+        assert err.startswith("error: --json-out ")
+        assert "is a directory" in err and len(err.splitlines()) == 1
+
+    def test_artifacts_dir_file_fails_before_any_case_runs(
+            self, tmp_path, capsys):
+        occupied = tmp_path / "results.txt"
+        occupied.write_text("")
+        code, output = run_cli(
+            ["bench", "run", "--dir", self.BENCH_DIR, "--fast",
+             "--filter", "core", "--artifacts-dir", str(occupied)]
+        )
+        assert code == 1
+        assert "running" not in output
+        err = capsys.readouterr().err
+        assert err.startswith("error: --artifacts-dir ")
+        assert "not a directory" in err and len(err.splitlines()) == 1
